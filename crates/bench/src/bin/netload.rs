@@ -67,7 +67,6 @@
 // lint:allow-file(thread-sleep-in-tests) — not a test: the generator
 // paces real arrivals.
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -550,36 +549,11 @@ fn main() {
     };
     let marker =
         format!("{{\"tag\":\"{esc_tag}\",\"kind\":\"{kind}\",\"transport\":\"{transport_name}\"");
-    let mut kept: Vec<String> = Vec::new();
-    if let Ok(prev) = std::fs::read_to_string(&out_path) {
-        for line in prev.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.starts_with("{\"tag\":") && !line.starts_with(&marker) {
-                kept.push(line.to_string());
-            }
-        }
-    }
-    kept.push(entry);
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_net.json");
-    writeln!(f, "{{").unwrap();
-    writeln!(f, "\"schema\": \"{SCHEMA}\",").unwrap();
-    writeln!(f, "\"entries\": [").unwrap();
-    for (i, e) in kept.iter().enumerate() {
-        let comma = if i + 1 < kept.len() { "," } else { "" };
-        writeln!(f, "{e}{comma}").unwrap();
-    }
-    writeln!(f, "]").unwrap();
-    writeln!(f, "}}").unwrap();
-    drop(f);
-    println!("wrote {} ({} entries)", out_path, kept.len());
+    let (written, well_formed) = bench::artifact::write_entries(&out_path, SCHEMA, &marker, vec![entry]);
+    println!("wrote {out_path} ({written} entries)");
 
     // ---- --check: validate the artifact and this run's gates.
     if check_mode {
-        let body = std::fs::read_to_string(&out_path).expect("re-read BENCH_net.json");
-        let well_formed = body.contains(SCHEMA)
-            && body.contains("\"entries\": [")
-            && body.lines().filter(|l| l.starts_with("{\"tag\":")).count() == kept.len()
-            && body.trim_end().ends_with('}');
         if !well_formed {
             eprintln!("--check FAILED: {out_path} is malformed");
             std::process::exit(1);

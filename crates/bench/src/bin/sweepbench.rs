@@ -25,13 +25,15 @@
 //! baseline — do not overwrite it).
 //!
 //! `--check` exits non-zero unless the file was written, is well-formed,
-//! every determinism digest matched, **and** no tier's `rss_mib` exceeds
-//! the pinned same-N `current` entry in `AUTOSEL_BENCH_BASELINE` (default
-//! `BENCH_sim.json`, read before anything is written) by more than 15% —
-//! CI's `bench-smoke` gate pins memory regressions like speed ones.
+//! every determinism digest matched, and every tier with a pinned same-N
+//! `current` entry in `AUTOSEL_BENCH_BASELINE` (default `BENCH_sim.json`,
+//! read before anything is written) reproduces that entry's digest and
+//! stays within 15% of its `rss_mib` — CI pins behaviour and memory
+//! regressions like speed ones.
 //!
 //! ```text
-//! AUTOSEL_BENCH_N=200 AUTOSEL_BENCH_SEEDS=2 \
+//! AUTOSEL_BENCH_N=1000,5000,10000 AUTOSEL_BENCH_SEEDS=2 \
+//!   AUTOSEL_BENCH_OUT=/tmp/bench.json \
 //!   cargo run --release -p bench --bin sweepbench -- --check
 //! ```
 
@@ -216,9 +218,16 @@ fn json_num(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Pinned `(n, rss_mib)` pairs from the baseline file's `current`-tag
-/// single entries — the reference points for the `--check` RSS gate.
-fn baseline_rss(path: &str) -> Vec<(usize, f64)> {
+/// One `current`-tag single entry of the baseline file — a reference
+/// point for the `--check` digest and RSS gates.
+struct Pinned {
+    n: usize,
+    digest: Option<u64>,
+    /// 0.0 when the entry records no RSS.
+    rss_mib: f64,
+}
+
+fn baseline(path: &str) -> Vec<Pinned> {
     let Ok(body) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
@@ -228,9 +237,14 @@ fn baseline_rss(path: &str) -> Vec<(usize, f64)> {
             l.starts_with("{\"tag\":\"current\"") && l.contains("\"kind\":\"single\"")
         })
         .filter_map(|l| {
-            let n = json_num(l, "n")? as usize;
-            let rss = json_num(l, "rss_mib")?;
-            (rss > 0.0).then_some((n, rss))
+            let digest = l
+                .split_once("\"digest\":\"")
+                .and_then(|(_, rest)| u64::from_str_radix(rest.get(..16)?, 16).ok());
+            Some(Pinned {
+                n: json_num(l, "n")? as usize,
+                digest,
+                rss_mib: json_num(l, "rss_mib").unwrap_or(0.0),
+            })
         })
         .collect()
 }
@@ -249,13 +263,13 @@ fn main() {
     let out_path = std::env::var("AUTOSEL_BENCH_OUT").unwrap_or_else(|_| "BENCH_sim.json".to_string());
     let baseline_path =
         std::env::var("AUTOSEL_BENCH_BASELINE").unwrap_or_else(|_| "BENCH_sim.json".to_string());
-    // Read the RSS baseline before anything is written: out and baseline
-    // may be the same file.
-    let pinned_rss = baseline_rss(&baseline_path);
+    // Read the baseline before anything is written: out and baseline may
+    // be the same file.
+    let pinned = baseline(&baseline_path);
     let t = threads();
 
     let mut entries: Vec<String> = Vec::new();
-    let mut measured_rss: Vec<(usize, f64)> = Vec::new();
+    let mut measured: Vec<(usize, u64, f64)> = Vec::new();
     let mut determinism_ok = true;
 
     // ---- single-run wall clock + peak RSS, one child process per tier
@@ -269,7 +283,7 @@ fn main() {
             "single N={n}: setup {:.1} ms, {QUERIES_PER_RUN} queries {:.1} ms, total {wall:.1} ms, rss {:.1} MiB, deterministic={}",
             r.setup_ms, r.query_ms, r.rss_mib, r.deterministic
         );
-        measured_rss.push((n, r.rss_mib));
+        measured.push((n, r.digest, r.rss_mib));
         entries.push(format!(
             "{{\"tag\":\"{}\",\"kind\":\"single\",\"n\":{n},\"queries\":{QUERIES_PER_RUN},\"seed\":42,\"setup_ms\":{:.2},\"query_ms\":{:.2},\"wall_ms\":{wall:.2},\"digest\":\"{:016x}\",\"deterministic\":{},\"rss_mib\":{:.1}}}",
             json_escape(&tag), r.setup_ms, r.query_ms, r.digest, r.deterministic, r.rss_mib
@@ -300,37 +314,13 @@ fn main() {
     ));
 
     // ---- merge with existing entries (other tags survive) and write
-    let mut kept: Vec<String> = Vec::new();
-    if let Ok(prev) = std::fs::read_to_string(&out_path) {
-        let tag_marker = format!("{{\"tag\":\"{}\"", json_escape(&tag));
-        for line in prev.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.starts_with("{\"tag\":") && !line.starts_with(&tag_marker) {
-                kept.push(line.to_string());
-            }
-        }
-    }
-    kept.extend(entries);
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_sim.json");
-    writeln!(f, "{{").unwrap();
-    writeln!(f, "\"schema\": \"{SCHEMA}\",").unwrap();
-    writeln!(f, "\"entries\": [").unwrap();
-    for (i, e) in kept.iter().enumerate() {
-        let comma = if i + 1 < kept.len() { "," } else { "" };
-        writeln!(f, "{e}{comma}").unwrap();
-    }
-    writeln!(f, "]").unwrap();
-    writeln!(f, "}}").unwrap();
-    drop(f);
-    println!("wrote {} ({} entries)", out_path, kept.len());
+    let tag_marker = format!("{{\"tag\":\"{}\"", json_escape(&tag));
+    let (written, well_formed) =
+        bench::artifact::write_entries(&out_path, SCHEMA, &tag_marker, entries);
+    println!("wrote {out_path} ({written} entries)");
 
-    // ---- --check: validate the artifact, determinism digests, RSS gate
+    // ---- --check: validate the artifact, determinism, pinned digests, RSS
     if check_mode {
-        let body = std::fs::read_to_string(&out_path).expect("re-read BENCH_sim.json");
-        let well_formed = body.contains(SCHEMA)
-            && body.contains("\"entries\": [")
-            && body.lines().filter(|l| l.starts_with("{\"tag\":")).count() == kept.len()
-            && body.trim_end().ends_with('}');
         if !well_formed {
             eprintln!("--check FAILED: {out_path} is malformed");
             std::process::exit(1);
@@ -339,24 +329,37 @@ fn main() {
             eprintln!("--check FAILED: determinism digest mismatch");
             std::process::exit(1);
         }
-        let mut rss_ok = true;
-        for &(n, rss) in &measured_rss {
-            let Some(&(_, pinned)) = pinned_rss.iter().find(|&&(pn, _)| pn == n) else {
+        let mut pinned_ok = true;
+        for &(n, digest, rss) in &measured {
+            let Some(pin) = pinned.iter().find(|p| p.n == n) else {
                 continue; // no pinned same-N entry: nothing to gate against
             };
-            let limit = pinned * RSS_TOLERANCE;
-            if rss > limit {
-                eprintln!(
-                    "--check FAILED: N={n} peak RSS {rss:.1} MiB exceeds pinned {pinned:.1} MiB by >15% (limit {limit:.1})"
-                );
-                rss_ok = false;
-            } else {
-                println!("rss gate N={n}: {rss:.1} MiB vs pinned {pinned:.1} MiB — ok");
+            if let Some(want) = pin.digest {
+                if digest == want {
+                    println!("digest gate N={n}: {digest:016x} matches pinned — ok");
+                } else {
+                    eprintln!(
+                        "--check FAILED: N={n} digest {digest:016x} differs from pinned {want:016x}"
+                    );
+                    pinned_ok = false;
+                }
+            }
+            if pin.rss_mib > 0.0 {
+                let limit = pin.rss_mib * RSS_TOLERANCE;
+                if rss > limit {
+                    eprintln!(
+                        "--check FAILED: N={n} peak RSS {rss:.1} MiB exceeds pinned {:.1} MiB by >15% (limit {limit:.1})",
+                        pin.rss_mib
+                    );
+                    pinned_ok = false;
+                } else {
+                    println!("rss gate N={n}: {rss:.1} MiB vs pinned {:.1} MiB — ok", pin.rss_mib);
+                }
             }
         }
-        if !rss_ok {
+        if !pinned_ok {
             std::process::exit(1);
         }
-        println!("--check OK: well-formed, deterministic, rss within bounds");
+        println!("--check OK: well-formed, deterministic, pinned digests and rss within bounds");
     }
 }

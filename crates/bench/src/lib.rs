@@ -9,6 +9,7 @@
 //! (§6.2: "the number of nodes to contact … does not depend on the size of
 //! the network").
 
+pub mod artifact;
 pub mod experiments;
 pub mod stats_json;
 pub mod sweep;

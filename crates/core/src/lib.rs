@@ -17,13 +17,15 @@
 //!   `dimensions` scope fields that make the traversal loop-free;
 //! * [`RoutingTable`] maps gossip views to routing links, and
 //!   [`SlotSelector`] is the [`epigossip::Selector`] policy that makes the
-//!   semantic gossip layer retain exactly the peers the routing table needs.
+//!   semantic gossip layer retain exactly the peers the routing table needs;
+//! * [`Peer`] is one whole node: a [`SelectionNode`] plus its optional
+//!   gossip stack, with the rules that tie the two together.
 //!
 //! Everything is **sans-IO**: [`SelectionNode::handle_message`] consumes a
 //! message and a timestamp and returns [`Output`]s (messages to transmit,
-//! completions, failure suspicions). The discrete-event simulator
-//! (`overlay-sim`) and the deployment runtime (`autosel-net`) drive the
-//! same state machine byte-for-byte.
+//! completions, failure suspicions); [`Peer`] does the same for both
+//! layers. The discrete-event simulator (`overlay-sim`) and the deployment
+//! runtime (`autosel-net`) host the same [`Peer`] byte-for-byte.
 //!
 //! ## Example: three nodes, oracle-wired, one query
 //!
@@ -65,12 +67,14 @@ pub mod bootstrap;
 pub mod fasthash;
 mod messages;
 mod node;
+mod peer;
 mod profile;
 mod routing;
 mod selector;
 
 pub use messages::{DynamicConstraint, Match, Message, QueryId, QueryMsg, ReplyMsg};
 pub use node::{ChoicePoint, Output, ProtocolConfig, SelectionNode};
+pub use peer::{GossipHealth, Peer, PeerMessage, PeerOutput};
 pub use profile::NodeProfile;
 pub use routing::{NeighborEntry, RoutingTable};
 pub use selector::SlotSelector;

@@ -667,14 +667,7 @@ impl SelectionNode {
                 });
                 out.push(Output::NeighborFailed(peer));
             }
-            let p = self.pending.get(&qid).expect("still pending");
-            if p.waiting.is_empty() {
-                if p.sigma_met() {
-                    out.extend(self.conclude(qid, now));
-                } else {
-                    out.extend(self.continue_query(qid, now));
-                }
-            }
+            out.extend(self.resume(qid, now));
         }
         out
     }
@@ -705,16 +698,22 @@ impl SelectionNode {
                 node: self.id,
                 peer,
             });
-            let p = self.pending.get(&qid).expect("just listed");
-            if p.waiting.is_empty() {
-                if p.sigma_met() {
-                    out.extend(self.conclude(qid, now));
-                } else {
-                    out.extend(self.continue_query(qid, now));
-                }
-            }
+            out.extend(self.resume(qid, now));
         }
         out
+    }
+
+    /// Moves pending query `qid` on once it waits on nobody: concluded if
+    /// σ is met, else forwarded further.
+    fn resume(&mut self, qid: QueryId, now: u64) -> Vec<Output> {
+        let p = self.pending.get(&qid).expect("resumed query is pending");
+        if !p.waiting.is_empty() {
+            Vec::new()
+        } else if p.sigma_met() {
+            self.conclude(qid, now)
+        } else {
+            self.continue_query(qid, now)
+        }
     }
 
     /// The `receive_query` procedure of Fig. 5.

@@ -4,13 +4,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use attrspace::{Point, Query, Space};
-use autosel_core::{Match, QueryId};
+use autosel_core::{GossipHealth, Match, QueryId};
 use autosel_obs::{Event, ObsHandle};
 use epigossip::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::peer::{Command, InboxSender, PeerCounters, PeerEvent, PeerTask};
+use crate::peer::{InboxSender, PeerCounters, PeerEvent, PeerTask};
 use crate::{NetConfig, Transport};
 
 struct PeerHandle {
@@ -67,34 +67,6 @@ impl QueryTicket {
     pub fn wait(self, timeout: Duration) -> Option<QueryOutcome> {
         let (_, matches) = self.rx.recv_timeout(timeout).ok()?;
         Some(QueryOutcome { matches, truth: self.truth })
-    }
-}
-
-/// Aggregate view health of one gossip layer across a live cluster, read
-/// from the peers' published gauges — the wall-clock mirror of the
-/// simulator's `gossip_health()` reading (same fields, same fixed-point
-/// scaling), so soak-style health bounds apply to deployments too.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GossipHealth {
-    /// Peers that have published at least one gossip round.
-    pub nodes: u64,
-    /// Total view entries across those peers.
-    pub links: u64,
-    /// Sum over peers of per-view mean descriptor age, in thousandths.
-    pub age_sum_x1000: u64,
-    /// Total view turnover (entries ever admitted).
-    pub turnover: u64,
-}
-
-impl GossipHealth {
-    /// Mean view size in thousandths (0 when no peer has gossiped).
-    pub fn mean_view_size_x1000(&self) -> u64 {
-        (self.links * 1000).checked_div(self.nodes).unwrap_or(0)
-    }
-
-    /// Mean of the per-peer mean descriptor ages, in thousandths.
-    pub fn mean_age_x1000(&self) -> u64 {
-        self.age_sum_x1000.checked_div(self.nodes).unwrap_or(0)
     }
 }
 
@@ -190,11 +162,7 @@ impl NetCluster {
             cluster.spawn_peer(i as NodeId, point, &config, started)?;
         }
         // Bootstrap introductions (ids are known to the spawner only).
-        let ids: Vec<NodeId> = {
-            let mut ids: Vec<NodeId> = cluster.peers.keys().copied().collect();
-            ids.sort_unstable();
-            ids
-        };
+        let ids = cluster.ids();
         for &id in &ids {
             for _ in 0..config.bootstrap_degree {
                 let other = ids[cluster.rng.gen_range(0..ids.len())];
@@ -202,7 +170,7 @@ impl NetCluster {
                     let point = cluster.peers[&other].point.clone();
                     let _ = cluster.peers[&id]
                         .events
-                        .send_blocking(PeerEvent::Command(Command::Introduce(other, point)));
+                        .send_blocking(PeerEvent::Introduce(other, point));
                 }
             }
         }
@@ -224,7 +192,7 @@ impl NetCluster {
             id,
             &self.space,
             point.clone(),
-            config.clone(),
+            config,
             self.transport.clone(),
             events_rx,
             events_tx.clone(),
@@ -291,7 +259,7 @@ impl NetCluster {
         self.peers
             .get(&origin)?
             .events
-            .send_blocking(PeerEvent::Command(Command::BeginQuery { query, sigma, reply: tx }))
+            .send_blocking(PeerEvent::BeginQuery { query, sigma, reply: tx })
             .ok()?;
         Some(QueryTicket { rx, truth })
     }
@@ -316,7 +284,7 @@ impl NetCluster {
         self.peers
             .get(&origin)?
             .events
-            .send_blocking(PeerEvent::Command(Command::BeginCount { query, reply: tx }))
+            .send_blocking(PeerEvent::BeginCount { query, reply: tx })
             .ok()?;
         rx.recv_timeout(timeout).ok()
     }
@@ -325,7 +293,7 @@ impl NetCluster {
     /// goodbye is gossiped.
     pub fn kill(&mut self, id: NodeId) {
         if let Some(p) = self.peers.remove(&id) {
-            let _ = p.events.send_blocking(PeerEvent::Command(Command::Shutdown));
+            let _ = p.events.send_blocking(PeerEvent::Shutdown);
             self.transport.deregister(id);
             drop(p.thread); // detach; the thread exits on the shutdown command
             self.obs.emit(|| Event::NodeCrashed {
@@ -366,7 +334,8 @@ impl NetCluster {
     }
 
     /// Per-node routing-table link counts, as last published by each peer
-    /// after a view sync. Zero until a node's first gossip round.
+    /// after its latest handled input. Zero until a node's first gossip
+    /// message.
     pub fn link_counts(&self) -> HashMap<NodeId, u64> {
         self.peers
             .iter()
@@ -397,24 +366,27 @@ impl NetCluster {
     }
 
     /// Point-in-time gossip-health reading of `(random, semantic)` layers
-    /// across alive peers, aggregated from the gauges each peer publishes
-    /// after its gossip rounds. Peers that have not completed a first
-    /// round yet (all-zero gauges) still count as nodes, matching the
-    /// simulator's treatment of a quiet stack.
+    /// across alive peers — the simulator's `gossip_health()`, summed from
+    /// the per-peer readings each peer publishes after every handled
+    /// input. Peers that have not handled one yet (all-zero gauges) still
+    /// count as nodes, matching the simulator's treatment of a quiet stack.
     pub fn gossip_health(&self) -> (GossipHealth, GossipHealth) {
         use std::sync::atomic::Ordering::Relaxed;
-        let mut random = GossipHealth::default();
-        let mut semantic = GossipHealth::default();
+        let (mut random, mut semantic) = (GossipHealth::default(), GossipHealth::default());
         for p in self.peers.values() {
             let c = &p.counters;
-            random.nodes += 1;
-            random.links += c.view_random.load(Relaxed);
-            random.age_sum_x1000 += c.age_random_x1000.load(Relaxed);
-            random.turnover += c.turnover_random.load(Relaxed);
-            semantic.nodes += 1;
-            semantic.links += c.view_semantic.load(Relaxed);
-            semantic.age_sum_x1000 += c.age_semantic_x1000.load(Relaxed);
-            semantic.turnover += c.turnover_semantic.load(Relaxed);
+            random += GossipHealth {
+                nodes: 1,
+                links: c.view_random.load(Relaxed),
+                age_sum_x1000: c.age_random_x1000.load(Relaxed),
+                turnover: c.turnover_random.load(Relaxed),
+            };
+            semantic += GossipHealth {
+                nodes: 1,
+                links: c.view_semantic.load(Relaxed),
+                age_sum_x1000: c.age_semantic_x1000.load(Relaxed),
+                turnover: c.turnover_semantic.load(Relaxed),
+            };
         }
         (random, semantic)
     }
@@ -448,7 +420,7 @@ impl NetCluster {
         let mut threads = Vec::new();
         for id in ids {
             if let Some(mut p) = self.peers.remove(&id) {
-                let _ = p.events.send_blocking(PeerEvent::Command(Command::Shutdown));
+                let _ = p.events.send_blocking(PeerEvent::Shutdown);
                 self.transport.deregister(id);
                 if let Some(t) = p.thread.take() {
                     threads.push(t);

@@ -9,8 +9,6 @@ pub struct NetConfig {
     pub gossip: GossipConfig,
     /// Protocol timeouts (real time).
     pub protocol: ProtocolConfig,
-    /// How often each peer polls its protocol timeouts.
-    pub poll_interval_ms: u64,
     /// Artificial latency range injected by the in-memory transport
     /// (`None` = deliver immediately). TCP runs rely on real socket latency.
     pub injected_latency_ms: Option<(u64, u64)>,
@@ -69,7 +67,6 @@ impl Default for NetConfig {
         NetConfig {
             gossip: GossipConfig { period_ms: 50, ..GossipConfig::default() },
             protocol: ProtocolConfig { query_timeout_ms: 5_000, ..ProtocolConfig::default() },
-            poll_interval_ms: 20,
             injected_latency_ms: Some((1, 5)),
             bootstrap_degree: 3,
             inbox_capacity: 4_096,
@@ -85,7 +82,6 @@ impl NetConfig {
     /// Panics on zero periods or inverted latency bounds.
     pub fn validate(&self) {
         self.gossip.validate();
-        assert!(self.poll_interval_ms > 0, "poll interval must be positive");
         if let Some((lo, hi)) = self.injected_latency_ms {
             assert!(lo <= hi, "latency bounds inverted");
         }

@@ -4,9 +4,9 @@
 //! on the DAS-3 cluster and 302 nodes on PlanetLab. This crate is the
 //! equivalent runtime, built on OS threads and blocking I/O:
 //!
-//! * every node is an independent thread running the *same* sans-IO state
-//!   machines as the simulator ([`autosel_core::SelectionNode`] +
-//!   [`epigossip::GossipStack`]), with real timers, real queues and real
+//! * every node is an independent thread running the *same* sans-IO
+//!   [`autosel_core::Peer`] as the simulator, sleeping on its inbox until
+//!   the peer's next deadline, with real timers, real queues and real
 //!   message interleavings;
 //! * two transports: [`Transport::mem`] (in-process channels with optional
 //!   injected latency — the DAS emulation, where 20 processes per physical
@@ -31,7 +31,9 @@ pub mod sync;
 mod transport;
 pub mod wire;
 
-pub use cluster::{GossipHealth, InboxStats, NetCluster, QueryOutcome, QueryTicket};
+pub use autosel_core::GossipHealth;
+/// A message on the wire: the shared [`autosel_core::PeerMessage`].
+pub use autosel_core::PeerMessage as NetMessage;
+pub use cluster::{InboxStats, NetCluster, QueryOutcome, QueryTicket};
 pub use config::{NetConfig, TcpTuning};
-pub use peer::NetMessage;
 pub use transport::{TcpStatsSnapshot, Transport};

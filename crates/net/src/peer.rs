@@ -4,29 +4,27 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use attrspace::{Point, Query, Space};
-use autosel_core::{Match, Message, NodeProfile, Output, QueryId, SelectionNode, SlotSelector};
+use autosel_core::{Match, Peer, PeerOutput, QueryId};
 use autosel_obs::ObsHandle;
-use epigossip::{GossipMessage, GossipStack, NodeId};
+use epigossip::NodeId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::{NetConfig, Transport};
+use crate::{NetConfig, NetMessage, Transport};
 
-/// A message on the wire: either the selection protocol or overlay gossip.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NetMessage {
-    /// QUERY/REPLY traffic.
-    Protocol(Message),
-    /// Membership gossip.
-    Gossip(GossipMessage<NodeProfile>),
-}
-
-/// Commands a peer accepts from its [`NetCluster`](crate::NetCluster) handle.
+/// Everything a peer's event loop reacts to, multiplexed on one channel so
+/// the loop is a single `recv_timeout` against the peer's next deadline.
 ///
-/// Reply channels are rendezvous-bounded (`sync_channel(1)`): a peer sends
-/// exactly one completion per issued query, so the bound can never block it.
+/// The last four are commands from the [`NetCluster`](crate::NetCluster)
+/// handle. Reply channels are rendezvous-bounded (`sync_channel(1)`): a
+/// peer sends exactly one completion per issued query, so the bound can
+/// never block it.
 #[derive(Debug)]
-pub(crate) enum Command {
+pub(crate) enum PeerEvent {
+    /// A message arrived from `NodeId`.
+    Deliver(NodeId, NetMessage),
+    /// Fail-fast feedback from the transport: this peer is unreachable.
+    Failed(NodeId),
     BeginQuery {
         query: Query,
         sigma: Option<u32>,
@@ -40,25 +38,14 @@ pub(crate) enum Command {
     Shutdown,
 }
 
-/// Everything a peer's event loop reacts to, multiplexed on one channel so
-/// the loop is a single `recv_timeout` against its next timer deadline.
-#[derive(Debug)]
-pub(crate) enum PeerEvent {
-    /// A message arrived from `NodeId`.
-    Deliver(NodeId, NetMessage),
-    /// A control command from the cluster handle.
-    Command(Command),
-    /// Fail-fast feedback from the transport: this peer is unreachable.
-    Failed(NodeId),
-}
-
 /// Shared per-peer counters, readable from outside the thread.
 #[derive(Debug, Default)]
 pub(crate) struct PeerCounters {
     pub sent: AtomicU64,
     pub received: AtomicU64,
-    /// Routing-table link count, published after every view sync — a cheap
-    /// convergence gauge tests can poll instead of sleeping a fixed warm-up.
+    /// Routing-table link count, published after every handled input — a
+    /// cheap convergence gauge tests can poll instead of sleeping a fixed
+    /// warm-up.
     pub links: AtomicU64,
     /// Events currently queued in this peer's inbox. Signed because the
     /// enqueue increment and dequeue decrement race benignly; readers clamp
@@ -67,9 +54,9 @@ pub(crate) struct PeerCounters {
     /// Deliveries dropped because the bounded inbox was full. The protocol
     /// absorbs these like network loss: timeouts retry or amputate.
     pub inbox_dropped: AtomicU64,
-    /// Gossip-health gauges, published after every gossip round —
-    /// per-layer view size, mean descriptor age (×1000) and cumulative
-    /// turnover, mirroring the simulator's `gossip_health()` reading so
+    /// Gossip-health gauges from [`Peer::gossip_health`], published with
+    /// `links` — per-layer view size, mean descriptor age (×1000) and
+    /// cumulative turnover, the simulator's `gossip_health()` reading so
     /// soak-style bounds can be asserted on live clusters.
     pub view_random: AtomicU64,
     pub view_semantic: AtomicU64,
@@ -142,13 +129,11 @@ impl InboxSender {
 
 pub(crate) struct PeerTask {
     id: NodeId,
-    selection: SelectionNode,
-    gossip: GossipStack<NodeProfile>,
+    peer: Peer,
     transport: Transport,
     events: mpsc::Receiver<PeerEvent>,
     /// Own sender, handed to the transport for fail-fast feedback.
     events_tx: InboxSender,
-    config: NetConfig,
     counters: Arc<PeerCounters>,
     started: Instant,
     rng: SmallRng,
@@ -157,12 +142,13 @@ pub(crate) struct PeerTask {
 }
 
 impl PeerTask {
+    /// Builds the peer; its first gossip round is due one period from now.
     #[allow(clippy::too_many_arguments)] // internal constructor, one call site
     pub(crate) fn new(
         id: NodeId,
         space: &Space,
         point: Point,
-        config: NetConfig,
+        config: &NetConfig,
         transport: Transport,
         events: mpsc::Receiver<PeerEvent>,
         events_tx: InboxSender,
@@ -170,179 +156,189 @@ impl PeerTask {
         started: Instant,
         obs: ObsHandle,
     ) -> Self {
-        let mut selection = SelectionNode::new(id, space, point, config.protocol.clone());
-        selection.set_observer(obs.clone());
-        let mut gossip = GossipStack::new(
+        let mut peer =
+            Peer::new(id, space, point, config.protocol.clone(), Some(config.gossip.clone()));
+        peer.set_observer(obs);
+        let mut task = PeerTask {
             id,
-            selection.profile(),
-            config.gossip.clone(),
-            SlotSelector::default(),
-        );
-        gossip.set_observer(obs);
-        PeerTask {
-            id,
-            selection,
-            gossip,
+            peer,
             transport,
             events,
             events_tx,
-            config,
             counters,
             started,
             rng: SmallRng::seed_from_u64(id ^ 0xA5A5_5A5A_DEAD_BEEF),
             pending_queries: HashMap::new(),
             pending_counts: HashMap::new(),
-        }
+        };
+        let first = task.now() + config.gossip.period_ms;
+        task.peer.schedule_first_gossip(first);
+        task
     }
 
     fn now(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
     }
 
-    fn send(&self, to: NodeId, msg: NetMessage) {
-        self.counters.sent.fetch_add(1, Ordering::Relaxed);
-        self.transport.send(self.id, to, msg, &self.events_tx);
-    }
-
-    fn apply_outputs(&mut self, outputs: Vec<Output>) {
+    fn apply_outputs(&mut self, outputs: Vec<PeerOutput>) {
         for o in outputs {
             match o {
-                Output::Send { to, msg } => self.send(to, NetMessage::Protocol(msg)),
-                Output::Completed { id, matches, count } => {
+                PeerOutput::Send { to, msg } => {
+                    self.counters.sent.fetch_add(1, Ordering::Relaxed);
+                    self.transport.send(self.id, to, msg, &self.events_tx);
+                }
+                PeerOutput::Completed { id, matches, count } => {
                     if let Some(reply) = self.pending_queries.remove(&id) {
                         let _ = reply.send((id, matches));
                     } else if let Some(reply) = self.pending_counts.remove(&id) {
                         let _ = reply.send(count);
                     }
                 }
-                Output::NeighborFailed(peer) => self.gossip.evict(peer),
             }
         }
     }
 
-    /// Publishes the per-layer gossip-health gauges (view size, mean
-    /// descriptor age, turnover) — one store per field, read by
-    /// [`NetCluster::gossip_health`](crate::NetCluster::gossip_health).
-    fn publish_gossip_gauges(&self) {
+    /// Publishes the routing-table link count and the per-layer
+    /// gossip-health gauges — one store per field, read by
+    /// [`NetCluster`](crate::NetCluster).
+    fn publish_gauges(&self) {
         let c = &*self.counters;
-        let random = self.gossip.random_view();
-        let semantic = self.gossip.semantic_view();
-        c.view_random.store(random.len() as u64, Ordering::Relaxed);
-        c.view_semantic.store(semantic.len() as u64, Ordering::Relaxed);
-        c.age_random_x1000.store(random.mean_age_x1000(), Ordering::Relaxed);
-        c.age_semantic_x1000.store(semantic.mean_age_x1000(), Ordering::Relaxed);
-        c.turnover_random.store(random.turnover(), Ordering::Relaxed);
-        c.turnover_semantic.store(semantic.turnover(), Ordering::Relaxed);
+        c.links.store(self.peer.selection().routing().link_count() as u64, Ordering::Relaxed);
+        let Some((random, semantic)) = self.peer.gossip_health() else { return };
+        c.view_random.store(random.links, Ordering::Relaxed);
+        c.view_semantic.store(semantic.links, Ordering::Relaxed);
+        c.age_random_x1000.store(random.age_sum_x1000, Ordering::Relaxed);
+        c.age_semantic_x1000.store(semantic.age_sum_x1000, Ordering::Relaxed);
+        c.turnover_random.store(random.turnover, Ordering::Relaxed);
+        c.turnover_semantic.store(semantic.turnover, Ordering::Relaxed);
     }
 
-    fn do_gossip(&mut self) {
+    /// Handles one inbox event; `false` on shutdown.
+    fn handle_event(&mut self, event: PeerEvent) -> bool {
         let now = self.now();
-        let msgs = self.gossip.tick(now, &mut self.rng);
-        let view = self.gossip.semantic_view().clone();
-        self.selection.sync_from_view(&view, now, &mut self.rng);
-        self.counters
-            .links
-            .store(self.selection.routing().link_count() as u64, Ordering::Relaxed);
-        self.publish_gossip_gauges();
-        for (to, m) in msgs {
-            self.send(to, NetMessage::Gossip(m));
-        }
-    }
-
-    fn handle_envelope(&mut self, from: NodeId, msg: NetMessage) {
-        self.counters.received.fetch_add(1, Ordering::Relaxed);
-        match msg {
-            NetMessage::Protocol(m) => {
-                let now = self.now();
-                let outputs = self.selection.handle_message(from, m, now);
-                self.apply_outputs(outputs);
+        let outputs = match event {
+            PeerEvent::Deliver(from, msg) => {
+                self.counters.received.fetch_add(1, Ordering::Relaxed);
+                self.peer.deliver(from, msg, now, &mut self.rng)
             }
-            NetMessage::Gossip(g) => {
-                let now = self.now();
-                let replies = self.gossip.handle(from, g, &mut self.rng);
-                let view = self.gossip.semantic_view().clone();
-                self.selection.sync_from_view(&view, now, &mut self.rng);
-                self.counters
-                    .links
-                    .store(self.selection.routing().link_count() as u64, Ordering::Relaxed);
-                for (to, m) in replies {
-                    self.send(to, NetMessage::Gossip(m));
-                }
-            }
-        }
-    }
-
-    fn handle_command(&mut self, cmd: Command) -> bool {
-        match cmd {
-            Command::BeginQuery { query, sigma, reply } => {
-                let now = self.now();
-                let (qid, outputs) = self.selection.begin_query(query, sigma, now);
+            // Transport said `peer` is gone: stop gossiping with it and
+            // skip its subtrees now.
+            PeerEvent::Failed(peer) => self.peer.unreachable(peer, now),
+            PeerEvent::BeginQuery { query, sigma, reply } => {
+                let (qid, outputs) = self.peer.begin(|s| s.begin_query(query, sigma, now));
                 self.pending_queries.insert(qid, reply);
-                self.apply_outputs(outputs);
-                true
+                outputs
             }
-            Command::BeginCount { query, reply } => {
-                let now = self.now();
-                let (qid, outputs) = self.selection.begin_count_query(query, Vec::new(), now);
+            PeerEvent::BeginCount { query, reply } => {
+                let (qid, outputs) =
+                    self.peer.begin(|s| s.begin_count_query(query, Vec::new(), now));
                 self.pending_counts.insert(qid, reply);
-                self.apply_outputs(outputs);
-                true
+                outputs
             }
-            Command::Introduce(id, point) => {
-                let profile = NodeProfile::new(self.selection.space(), point);
-                self.gossip.introduce(id, profile);
-                true
+            PeerEvent::Introduce(id, point) => {
+                self.peer.introduce(id, point);
+                Vec::new()
             }
-            Command::Shutdown => false,
-        }
+            PeerEvent::Shutdown => return false,
+        };
+        self.apply_outputs(outputs);
+        self.publish_gauges();
+        true
     }
 
-    /// The peer's main loop; returns when shut down. Timers (gossip period,
-    /// timeout polling) are expressed as deadlines the event `recv_timeout`
-    /// is bounded by, with missed ticks delayed rather than bursted.
+    /// The peer's main loop; returns when shut down. Due timers (gossip
+    /// round, reply deadlines) fire before the inbox is read; otherwise
+    /// the loop blocks on the inbox until the peer's next deadline. A late
+    /// gossip round is delayed, never bursted.
     pub(crate) fn run(mut self) {
-        let gossip_period = Duration::from_millis(self.config.gossip.period_ms);
-        let poll_period = Duration::from_millis(self.config.poll_interval_ms);
-        let mut next_gossip = Instant::now() + gossip_period;
-        let mut next_poll = Instant::now() + poll_period;
         loop {
-            let now = Instant::now();
-            if now >= next_gossip {
-                self.do_gossip();
-                next_gossip = Instant::now() + gossip_period;
-                continue;
-            }
-            if now >= next_poll {
-                let t = self.now();
-                let outputs = self.selection.poll_timeouts(t);
+            let now = self.now();
+            let at = self.peer.next_deadline().expect("a gossiping peer has a next round");
+            if at <= now {
+                let outputs = self.peer.wake(now, &mut self.rng);
                 self.apply_outputs(outputs);
-                next_poll = Instant::now() + poll_period;
+                self.publish_gauges();
                 continue;
             }
-            let wait = next_gossip.min(next_poll) - now;
-            let event = self.events.recv_timeout(wait);
-            if event.is_ok() {
-                self.counters.inbox_depth.fetch_sub(1, Ordering::Relaxed);
-            }
-            match event {
-                Ok(PeerEvent::Deliver(from, msg)) => self.handle_envelope(from, msg),
-                Ok(PeerEvent::Command(cmd)) => {
-                    if !self.handle_command(cmd) {
+            let due = self.started + Duration::from_millis(at);
+            match self.events.recv_timeout(due.saturating_duration_since(Instant::now())) {
+                Ok(event) => {
+                    self.counters.inbox_depth.fetch_sub(1, Ordering::Relaxed);
+                    if !self.handle_event(event) {
                         break;
                     }
-                }
-                Ok(PeerEvent::Failed(peer)) => {
-                    // Transport said `peer` is gone: skip its subtrees now
-                    // and stop gossiping with it.
-                    self.gossip.evict(peer);
-                    let t = self.now();
-                    let outputs = self.selection.peer_unreachable(peer, t);
-                    self.apply_outputs(outputs);
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
         self.transport.deregister(self.id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use autosel_core::{NodeProfile, ProtocolConfig};
+    use epigossip::{Descriptor, GossipConfig, GossipMessage, Layer};
+
+    /// Reply deadlines wake the peer on their own: with the next gossip
+    /// round a minute away and the only neighbor silent, a query completes
+    /// one query timeout after it was issued, and the dropped routing link
+    /// shows in the `links` gauge.
+    #[test]
+    fn reply_timeout_fires_without_a_poll_timer() {
+        const TIMEOUT_MS: u64 = 200;
+        let space = Space::uniform(2, 80, 3).unwrap();
+        let config = NetConfig {
+            gossip: GossipConfig { period_ms: 60_000, ..GossipConfig::default() },
+            protocol: ProtocolConfig { query_timeout_ms: TIMEOUT_MS, ..ProtocolConfig::default() },
+            ..NetConfig::default()
+        };
+        let transport = Transport::mem(None);
+        // Neighbor 2 is registered, but nobody drains its inbox.
+        let (silent, _silent_rx) = InboxSender::test_pair(16);
+        transport.register(2, silent).unwrap();
+        let (tx, rx) = mpsc::sync_channel(16);
+        let counters = Arc::new(PeerCounters::default());
+        let inbox = InboxSender::new(tx, Arc::clone(&counters));
+        let task = PeerTask::new(
+            1,
+            &space,
+            space.point(&[5, 5]).unwrap(),
+            &config,
+            transport.clone(),
+            rx,
+            inbox.clone(),
+            Arc::clone(&counters),
+            Instant::now(),
+            ObsHandle::null(),
+        );
+        let thread = std::thread::Builder::new().spawn(move || task.run()).unwrap();
+
+        // A semantic gossip response puts 2 in 1's routing table.
+        let profile = NodeProfile::new(&space, space.point(&[70, 70]).unwrap());
+        let batch = vec![Descriptor::new(2, profile)];
+        let gossip = GossipMessage::Response { layer: Layer::Semantic, batch };
+        inbox.send_blocking(PeerEvent::Deliver(2, NetMessage::Gossip(gossip))).unwrap();
+
+        // Only 2 matches: 1 forwards to it and waits for a reply that
+        // never comes.
+        let query = Query::builder(&space).min("a0", 60).build().unwrap();
+        let (reply, done) = mpsc::sync_channel(1);
+        let issued = Instant::now();
+        inbox.send_blocking(PeerEvent::BeginQuery { query, sigma: None, reply }).unwrap();
+        let (_, matches) = done
+            .recv_timeout(Duration::from_millis(TIMEOUT_MS + 5_000))
+            .expect("query completes on its reply deadline");
+        let took = issued.elapsed();
+        assert!(matches.is_empty());
+        assert!(took >= Duration::from_millis(TIMEOUT_MS), "completed too early: {took:?}");
+        assert!(took < Duration::from_millis(TIMEOUT_MS + 500), "woke late: {took:?}");
+
+        inbox.send_blocking(PeerEvent::Shutdown).unwrap();
+        thread.join().unwrap();
+        assert_eq!(counters.sent.load(Ordering::Relaxed), 1, "one forward, no gossip round");
+        assert_eq!(counters.links.load(Ordering::Relaxed), 0, "timed-out link left the gauge");
     }
 }

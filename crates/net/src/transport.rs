@@ -12,7 +12,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::TcpTuning;
-use crate::peer::{InboxSender, NetMessage, PeerEvent};
+use crate::peer::{InboxSender, PeerEvent};
+use crate::NetMessage;
 use crate::sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
 
 /// Frames whose length prefix (`from` + payload) reaches this many bytes

@@ -12,7 +12,7 @@ use autosel_core::{DynamicConstraint, Match, Message, NodeProfile, QueryId, Quer
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use epigossip::{Descriptor, GossipMessage, Layer};
 
-use crate::peer::NetMessage;
+use crate::NetMessage;
 
 /// Codec failures.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -71,7 +71,6 @@ fn fast_config() -> NetConfig {
         // (many sequential hops), not one RTT — too tight a value amputates
         // subtrees and silently loses matches.
         protocol: autosel_core::ProtocolConfig { query_timeout_ms: 10_000, ..Default::default() },
-        poll_interval_ms: 10,
         injected_latency_ms: Some((1, 3)),
         bootstrap_degree: 3,
         ..NetConfig::default()

@@ -5,17 +5,18 @@ use attrspace::{Point, Query, RawValue, Space};
 use autosel_core::bootstrap::OracleWiring;
 use autosel_core::NeighborEntry;
 use autosel_core::{
-    DynamicConstraint, Match, Message, NodeProfile, Output, QueryId, SelectionNode, SlotSelector,
+    DynamicConstraint, GossipHealth, Match, Message, Output, Peer, PeerMessage, PeerOutput,
+    QueryId, SelectionNode,
 };
 use autosel_obs::{Event, ObsHandle};
-use epigossip::{GossipStack, NodeId};
+use epigossip::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use autosel_core::fasthash::Fnv64;
 
 use crate::calendar::CalendarQueue;
-use crate::event::{EventKey, EventKind, Payload, QueuedEvent, ScheduledEvent};
+use crate::event::{EventKey, EventKind, QueuedEvent, ScheduledEvent};
 use crate::nodestore::NodeStore;
 use crate::faults::{FaultPlan, NodeEventKind};
 use crate::invariants::{InvariantChecker, InvariantViolation};
@@ -47,8 +48,7 @@ impl Scheduler for EarliestFirst {
 }
 
 struct SimNode {
-    selection: SelectionNode,
-    gossip: Option<GossipStack<NodeProfile>>,
+    peer: Peer,
     /// Messages (queries + replies + gossip) dispatched by this node —
     /// Fig. 9's load metric.
     sent: u64,
@@ -59,35 +59,6 @@ struct SimNode {
     /// enough — it reschedules itself off `next_timeout()` — so deliveries
     /// skip pushing redundant poll events (previously one per message).
     next_poll: u64,
-}
-
-/// Aggregate view health of one gossip layer over the alive population —
-/// the in-degree / freshness / replacement-rate gauges behind the paper's
-/// overlay-maintenance discussion. All integer fixed-point (×1000 where
-/// fractional) so readings stay byte-stable across platforms.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GossipHealth {
-    /// Nodes with an active gossip stack.
-    pub nodes: u64,
-    /// Total view entries across those nodes.
-    pub links: u64,
-    /// Sum over nodes of per-view mean descriptor age, in thousandths.
-    pub age_sum_x1000: u64,
-    /// Total view turnover (monotone count of entries ever admitted;
-    /// deltas between two readings are the replacement rate).
-    pub turnover: u64,
-}
-
-impl GossipHealth {
-    /// Mean view size in thousandths (0 when no nodes gossip).
-    pub fn mean_view_size_x1000(&self) -> u64 {
-        (self.links * 1000).checked_div(self.nodes).unwrap_or(0)
-    }
-
-    /// Mean of the per-node mean descriptor ages, in thousandths.
-    pub fn mean_age_x1000(&self) -> u64 {
-        self.age_sum_x1000.checked_div(self.nodes).unwrap_or(0)
-    }
 }
 
 /// A simulated population of resource-selection nodes under virtual time.
@@ -178,10 +149,7 @@ impl SimCluster {
     pub fn set_observer(&mut self, obs: ObsHandle) {
         for &id in &self.sorted_ids {
             let n = self.nodes.get_mut(&id).expect("indexed node alive");
-            n.selection.set_observer(obs.clone());
-            if let Some(g) = n.gossip.as_mut() {
-                g.set_observer(obs.clone());
-            }
+            n.peer.set_observer(obs.clone());
         }
         self.obs = obs;
     }
@@ -249,7 +217,7 @@ impl SimCluster {
 
     /// The attribute values of `id`, if alive.
     pub fn point_of(&self, id: NodeId) -> Option<&Point> {
-        self.nodes.get(&id).map(|n| n.selection.point())
+        self.nodes.get(&id).map(|n| n.peer.selection().point())
     }
 
     /// Adds one node at `point`, bootstrapping its gossip stack off up to
@@ -264,33 +232,22 @@ impl SimCluster {
     /// Inserts a node under a caller-chosen id (fresh joins allocate one,
     /// restarts reuse the crashed identity).
     fn insert_node(&mut self, id: NodeId, point: Point) {
-        let mut selection =
-            SelectionNode::new(id, &self.space, point.clone(), self.config.protocol.clone());
-        selection.set_observer(self.obs.clone());
-        let gossip = if self.config.gossip_enabled {
-            let mut stack = GossipStack::new(
-                id,
-                selection.profile(),
-                self.config.gossip.clone(),
-                SlotSelector::default(),
-            );
-            stack.set_observer(self.obs.clone());
+        let gossip = self.config.gossip_enabled.then(|| self.config.gossip.clone());
+        let mut peer =
+            Peer::new(id, &self.space, point.clone(), self.config.protocol.clone(), gossip);
+        peer.set_observer(self.obs.clone());
+        if self.config.gossip_enabled {
             let existing = &self.sorted_ids;
             for _ in 0..3.min(existing.len()) {
                 let seed = existing[self.rng.gen_range(0..existing.len())];
-                let profile = self.nodes[&seed].selection.profile();
-                stack.introduce(seed, profile);
+                peer.introduce(seed, self.nodes[&seed].peer.selection().point().clone());
             }
             // Stagger the first gossip within one period.
             let offset = self.rng.gen_range(0..self.config.gossip.period_ms);
-            stack.schedule_first(self.now + offset);
+            peer.schedule_first_gossip(self.now + offset);
             self.schedule(self.now + offset, EventKind::GossipTick { node: id });
-            Some(stack)
-        } else {
-            None
-        };
-        self.nodes
-            .insert(id, SimNode { selection, gossip, sent: 0, received: 0, next_poll: u64::MAX });
+        }
+        self.nodes.insert(id, SimNode { peer, sent: 0, received: 0, next_poll: u64::MAX });
         if let Err(at) = self.sorted_ids.binary_search(&id) {
             self.sorted_ids.insert(at, id);
             let d = self.space.dims();
@@ -326,7 +283,7 @@ impl SimCluster {
             .sorted_ids
             .iter()
             .map(|id| {
-                let sel = &self.nodes[id].selection;
+                let sel = self.nodes[id].peer.selection();
                 NeighborEntry {
                     id: *id,
                     point: sel.point().clone(),
@@ -338,7 +295,7 @@ impl SimCluster {
         for i in 0..wiring.entries().len() {
             let id = wiring.entries()[i].id;
             let node = self.nodes.get_mut(&id).expect("known id");
-            wiring.wire_table(i, node.selection.routing_mut(), &mut self.rng);
+            wiring.wire_table(i, node.peer.selection_mut().routing_mut(), &mut self.rng);
         }
     }
 
@@ -352,7 +309,8 @@ impl SimCluster {
         self.nodes
             .get_mut(&id)
             .expect("node alive")
-            .selection
+            .peer
+            .selection_mut()
             .set_dynamic(key, value);
     }
 
@@ -374,23 +332,7 @@ impl SimCluster {
     ///
     /// Panics if `origin` is not alive.
     pub fn issue_count_query(&mut self, origin: NodeId, query: Query) -> QueryId {
-        let truth = self
-            .point_values
-            .chunks_exact(self.space.dims())
-            .filter(|v| query.matches_values(v))
-            .count() as u32;
-        let node = self.nodes.get_mut(&origin).expect("origin alive");
-        let (qid, outputs) = node.selection.begin_count_query(query.clone(), Vec::new(), self.now);
-        let mut stats = QueryStats::new(self.now, truth);
-        stats.receivers.insert(origin);
-        if query.matches(node.selection.point()) {
-            stats.matched_reached.insert(origin);
-        }
-        self.queries.insert(qid, stats);
-        self.truth.insert(qid, query);
-        self.apply_outputs(origin, outputs);
-        self.schedule_timeout_poll(origin);
-        qid
+        self.issue(origin, query, None, |s, q, now| s.begin_count_query(q, Vec::new(), now))
     }
 
     /// Like [`issue_query`](Self::issue_query) with dynamic-attribute
@@ -407,21 +349,33 @@ impl SimCluster {
         dynamic: Vec<DynamicConstraint>,
         sigma: Option<u32>,
     ) -> QueryId {
+        self.issue(origin, query, sigma, |s, q, now| s.begin_query_full(q, dynamic, sigma, now))
+    }
+
+    /// Issues `query` at `origin` through `start` (one of the
+    /// [`SelectionNode`] `begin_*` calls) and tracks its stats from the
+    /// issue-time ground truth.
+    fn issue(
+        &mut self,
+        origin: NodeId,
+        query: Query,
+        sigma: Option<u32>,
+        start: impl FnOnce(&mut SelectionNode, Query, u64) -> (QueryId, Vec<Output>),
+    ) -> QueryId {
         let truth = self
             .point_values
             .chunks_exact(self.space.dims())
             .filter(|v| query.matches_values(v))
             .count() as u32;
+        let now = self.now;
         let node = self.nodes.get_mut(&origin).expect("origin alive");
-        let (qid, outputs) =
-            node.selection
-                .begin_query_full(query.clone(), dynamic, sigma, self.now);
+        let (qid, outputs) = node.peer.begin(|s| start(s, query.clone(), now));
         let mut stats = QueryStats::new(self.now, truth);
         stats.sigma = sigma;
         // The origin counts as reached if it matches (it "received" the
         // query by creating it).
         stats.receivers.insert(origin);
-        if query.matches(node.selection.point()) {
+        if query.matches(node.peer.selection().point()) {
             stats.matched_reached.insert(origin);
         }
         self.queries.insert(qid, stats);
@@ -463,7 +417,7 @@ impl SimCluster {
     /// bring the machine back. No-op if `id` is not alive.
     pub fn crash(&mut self, id: NodeId) {
         if let Some(n) = self.nodes.remove(&id) {
-            self.crashed.insert(id, n.selection.point().clone());
+            self.crashed.insert(id, n.peer.selection().point().clone());
             self.unindex(id);
             self.obs.emit(|| Event::NodeCrashed { at: self.now, node: id });
         }
@@ -516,17 +470,13 @@ impl SimCluster {
     /// [`Event::GossipRound`] stream with an on-demand aggregate that needs
     /// no observer installed. Empty readings (gossip disabled) are all-zero.
     pub fn gossip_health(&self) -> (GossipHealth, GossipHealth) {
-        let mut out = [GossipHealth::default(), GossipHealth::default()];
+        let (mut random, mut semantic) = (GossipHealth::default(), GossipHealth::default());
         for &id in &self.sorted_ids {
-            let Some(g) = self.nodes[&id].gossip.as_ref() else { continue };
-            for (h, view) in out.iter_mut().zip([g.random_view(), g.semantic_view()]) {
-                h.nodes += 1;
-                h.links += view.len() as u64;
-                h.age_sum_x1000 += view.mean_age_x1000();
-                h.turnover += view.turnover();
+            if let Some((r, s)) = self.nodes[&id].peer.gossip_health() {
+                random += r;
+                semantic += s;
             }
         }
-        let [random, semantic] = out;
         (random, semantic)
     }
 
@@ -548,7 +498,7 @@ impl SimCluster {
         LoadHistogram::new(
             self.nodes
                 .values()
-                .map(|n| n.selection.routing().link_count() as u64)
+                .map(|n| n.peer.selection().routing().link_count() as u64)
                 .collect(),
         )
     }
@@ -564,8 +514,8 @@ impl SimCluster {
             self.nodes
                 .values()
                 .map(|n| {
-                    let slots = n.selection.routing().slot_count();
-                    let zero = n.selection.routing().zero_count();
+                    let routing = n.peer.selection().routing();
+                    let (slots, zero) = (routing.slot_count(), routing.zero_count());
                     (slots + zero.min(cache.saturating_sub(slots))) as u64
                 })
                 .collect(),
@@ -581,14 +531,14 @@ impl SimCluster {
     /// In-flight query records summed over all alive nodes — zero once
     /// every query has drained (the leak metric of the invariant checker).
     pub fn pending_total(&self) -> usize {
-        self.nodes.values().map(|n| n.selection.pending_len()).sum()
+        self.nodes.values().map(|n| n.peer.selection().pending_len()).sum()
     }
 
     /// Total `T(q)` timeout expirations fired across all alive nodes —
     /// how much of the traversal was rescued by timeouts rather than
     /// replies (always zero on a fault-free static run).
     pub fn timeouts_fired_total(&self) -> u64 {
-        self.nodes.values().map(|n| n.selection.timeouts_fired()).sum()
+        self.nodes.values().map(|n| n.peer.selection().timeouts_fired()).sum()
     }
 
     /// Number of events currently queued — a cheap backlog gauge for
@@ -612,7 +562,7 @@ impl SimCluster {
 
     /// Iterates alive nodes' protocol state (internal: invariant checking).
     pub(crate) fn selections_iter(&self) -> impl Iterator<Item = (NodeId, &SelectionNode)> {
-        self.nodes.iter().map(|(id, n)| (id, &n.selection))
+        self.nodes.iter().map(|(id, n)| (id, n.peer.selection()))
     }
 
     /// Processes events until the queue is empty (static experiments) —
@@ -627,23 +577,13 @@ impl SimCluster {
             !self.config.gossip_enabled,
             "gossip keeps the queue non-empty; use run_until"
         );
-        while let Some(ev) = self.queue.pop() {
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev.kind);
-        }
+        while self.step(u64::MAX) {}
     }
 
     /// Processes events with firing time ≤ `t`, then advances the clock to
     /// `t`.
     pub fn run_until(&mut self, t: u64) {
-        while let Some(at) = self.queue.peek_at() {
-            if at > t {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev.kind);
-        }
+        while self.step(t) {}
         self.now = self.now.max(t);
     }
 
@@ -669,9 +609,7 @@ impl SimCluster {
             !self.config.gossip_enabled,
             "gossip keeps the queue non-empty; use run_until_checked"
         );
-        while let Some(ev) = self.queue.pop() {
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev.kind);
+        while self.step(u64::MAX) {
             checker.check_step(self)?;
         }
         checker.check_quiescent(self)
@@ -689,13 +627,7 @@ impl SimCluster {
         t: u64,
         checker: &mut InvariantChecker,
     ) -> Result<(), InvariantViolation> {
-        while let Some(at) = self.queue.peek_at() {
-            if at > t {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev.kind);
+        while self.step(t) {
             checker.check_step(self)?;
         }
         self.now = self.now.max(t);
@@ -753,8 +685,7 @@ impl SimCluster {
     /// event fires at `max(now, its scheduled time)`.
     pub fn dispatch_queued(&mut self, seq: u64) -> bool {
         let Some(ev) = self.take_queued(seq) else { return false };
-        self.now = self.now.max(ev.at);
-        self.dispatch(ev.kind);
+        self.fire(ev);
         true
     }
 
@@ -799,7 +730,7 @@ impl SimCluster {
         for &id in &self.sorted_ids {
             let n = &self.nodes[&id];
             h.word(id);
-            h.word(n.selection.state_fingerprint());
+            h.word(n.peer.selection().state_fingerprint());
             h.word(n.next_poll);
         }
         let mut crashed: Vec<NodeId> = self.crashed.keys().copied().collect();
@@ -877,7 +808,25 @@ impl SimCluster {
     /// nodes and production drivers must go through messages.
     #[doc(hidden)]
     pub fn selection_mut(&mut self, id: NodeId) -> Option<&mut SelectionNode> {
-        self.nodes.get_mut(&id).map(|n| &mut n.selection)
+        self.nodes.get_mut(&id).map(|n| n.peer.selection_mut())
+    }
+
+    /// Dispatches the earliest queued event if it fires at or before `t`;
+    /// `false` when none does.
+    fn step(&mut self, t: u64) -> bool {
+        if self.queue.peek_at().is_none_or(|at| at > t) {
+            return false;
+        }
+        let ev = self.queue.pop().expect("peeked");
+        self.fire(ev);
+        true
+    }
+
+    /// Dispatches `ev`; virtual time never rewinds, so it fires at
+    /// `max(now, its scheduled time)`.
+    fn fire(&mut self, ev: ScheduledEvent) {
+        self.now = self.now.max(ev.at);
+        self.dispatch(ev.kind);
     }
 
     fn schedule(&mut self, at: u64, kind: EventKind) {
@@ -885,11 +834,12 @@ impl SimCluster {
         self.queue.push(ScheduledEvent { at, seq: self.seq, kind });
     }
 
-    fn send(&mut self, from: NodeId, to: NodeId, payload: Payload) {
+    fn send(&mut self, from: NodeId, to: NodeId, payload: Arc<PeerMessage>) {
         if let Some(n) = self.nodes.get_mut(&from) {
             n.sent += 1;
         }
-        if let Payload::Protocol(msg) = &payload {
+        let protocol = matches!(*payload, PeerMessage::Protocol(_));
+        if let PeerMessage::Protocol(msg) = payload.as_ref() {
             if let Some(stats) = self.queries.get_mut(&msg.query_id()) {
                 stats.messages += 1;
             }
@@ -897,7 +847,6 @@ impl SimCluster {
         let Some(base) = self.config.latency.sample_link(from, to, &mut self.rng) else {
             return; // lost by the latency model
         };
-        let protocol = matches!(payload, Payload::Protocol(_));
         // The single fault-injection boundary: the plan turns one send into
         // zero (dropped / partitioned), one, or several (duplicated)
         // deliveries, each with its own delay.
@@ -925,26 +874,17 @@ impl SimCluster {
         self.delivery_scratch = deliveries;
     }
 
-    fn apply_outputs(&mut self, from: NodeId, outputs: Vec<Output>) {
+    fn apply_outputs(&mut self, from: NodeId, outputs: Vec<PeerOutput>) {
         for o in outputs {
             match o {
-                Output::Send { to, msg } => {
-                    self.send(from, to, Payload::Protocol(Arc::new(msg)));
-                }
-                Output::Completed { id, matches, count } => {
+                PeerOutput::Send { to, msg } => self.send(from, to, Arc::new(msg)),
+                PeerOutput::Completed { id, matches, count } => {
                     if let Some(stats) = self.queries.get_mut(&id) {
                         stats.completed = true;
                         stats.completed_at = Some(self.now);
                         stats.reported = count as u32;
                     }
                     self.completed.insert(id, matches);
-                }
-                Output::NeighborFailed(peer) => {
-                    if let Some(n) = self.nodes.get_mut(&from) {
-                        if let Some(g) = n.gossip.as_mut() {
-                            g.evict(peer);
-                        }
-                    }
                 }
             }
         }
@@ -956,50 +896,34 @@ impl SimCluster {
                 if !self.nodes.contains_key(&to) {
                     return; // dead receiver: message dropped (§6.6)
                 }
-                match payload {
-                    Payload::Protocol(msg) => {
-                        self.record_receipt(to, &msg);
-                        let node = self.nodes.get_mut(&to).expect("alive");
-                        node.received += 1;
-                        // Sole owner in the common (non-duplicated) case:
-                        // unwrap without copying.
-                        let msg = Arc::try_unwrap(msg).unwrap_or_else(|a| (*a).clone());
-                        let outputs = node.selection.handle_message(from, msg, self.now);
-                        self.apply_outputs(to, outputs);
-                        // Ensure a timeout poll is scheduled for new waits.
-                        self.schedule_timeout_poll(to);
-                    }
-                    Payload::Gossip(msg) => {
-                        let node = self.nodes.get_mut(&to).expect("alive");
-                        let Some(stack) = node.gossip.as_mut() else { return };
-                        let msg = Arc::try_unwrap(msg).unwrap_or_else(|a| (*a).clone());
-                        let replies = stack.handle(from, msg, &mut self.rng);
-                        // Routing tables follow the semantic view.
-                        let view = stack.semantic_view().clone();
-                        node.selection.sync_from_view(&view, self.now, &mut self.rng);
-                        for (dst, m) in replies {
-                            self.send(to, dst, Payload::Gossip(Arc::new(m)));
-                        }
-                    }
+                // Sole owner in the common (non-duplicated) case: unwrap
+                // without copying.
+                let msg = Arc::try_unwrap(payload).unwrap_or_else(|a| (*a).clone());
+                let protocol = matches!(msg, PeerMessage::Protocol(_));
+                if let PeerMessage::Protocol(m) = &msg {
+                    self.record_receipt(to, m);
+                }
+                let node = self.nodes.get_mut(&to).expect("alive");
+                node.received += u64::from(protocol);
+                let outputs = node.peer.deliver(from, msg, self.now, &mut self.rng);
+                self.apply_outputs(to, outputs);
+                if protocol {
+                    // Ensure a timeout poll is scheduled for new waits.
+                    self.schedule_timeout_poll(to);
                 }
             }
             EventKind::GossipTick { node } => {
                 let Some(n) = self.nodes.get_mut(&node) else { return };
-                let Some(stack) = n.gossip.as_mut() else { return };
-                let msgs = stack.tick(self.now, &mut self.rng);
-                let view = stack.semantic_view().clone();
-                n.selection.sync_from_view(&view, self.now, &mut self.rng);
+                let outputs = n.peer.gossip_tick(self.now, &mut self.rng);
+                self.apply_outputs(node, outputs);
                 let period = self.config.gossip.period_ms;
-                for (dst, m) in msgs {
-                    self.send(node, dst, Payload::Gossip(Arc::new(m)));
-                }
                 self.schedule(self.now + period, EventKind::GossipTick { node });
             }
             EventKind::PollTimeouts { node } => {
                 let Some(n) = self.nodes.get_mut(&node) else { return };
                 n.next_poll = u64::MAX;
-                let outputs = n.selection.poll_timeouts(self.now);
-                if let Some(at) = n.selection.next_timeout() {
+                let outputs = n.peer.poll_timeouts(self.now);
+                if let Some(at) = n.peer.selection().next_timeout() {
                     let at = at.max(self.now + 1);
                     n.next_poll = at;
                     self.schedule(at, EventKind::PollTimeouts { node });
@@ -1008,10 +932,7 @@ impl SimCluster {
             }
             EventKind::SendFailed { node, peer } => {
                 let Some(n) = self.nodes.get_mut(&node) else { return };
-                if let Some(g) = n.gossip.as_mut() {
-                    g.evict(peer);
-                }
-                let outputs = n.selection.peer_unreachable(peer, self.now);
+                let outputs = n.peer.unreachable(peer, self.now);
                 self.apply_outputs(node, outputs);
                 // Skipping the dead subtree may have re-forwarded the query
                 // to fresh peers with fresh deadlines.
@@ -1034,7 +955,7 @@ impl SimCluster {
     fn schedule_timeout_poll(&mut self, node: NodeId) {
         let at = {
             let Some(n) = self.nodes.get_mut(&node) else { return };
-            let Some(at) = n.selection.next_timeout() else { return };
+            let Some(at) = n.peer.selection().next_timeout() else { return };
             let at = at.max(self.now + 1);
             // An earlier-or-equal poll is already queued and will cover this
             // deadline (it reschedules itself) — skip the redundant event.
@@ -1055,7 +976,7 @@ impl SimCluster {
             stats.duplicates += 1;
             return;
         }
-        let point = self.nodes[&to].selection.point();
+        let point = self.nodes[&to].peer.selection().point();
         if query.matches(point) {
             stats.matched_reached.insert(to);
         } else {

@@ -3,9 +3,9 @@
 //! The paper evaluates its protocol on PeerSim with up to 100 000 nodes; this
 //! crate is the equivalent substrate, built from scratch:
 //!
-//! * [`SimCluster`] — a population of [`autosel_core::SelectionNode`]s (each
-//!   optionally paired with a two-layer [`epigossip::GossipStack`]) driven by
-//!   a virtual-time event queue;
+//! * [`SimCluster`] — a population of [`autosel_core::Peer`]s (each a
+//!   selection node, optionally with a two-layer gossip stack) driven by a
+//!   virtual-time event queue;
 //! * [`LatencyModel`] — per-message delays and loss;
 //! * [`Placement`] — how node attribute values are drawn (uniform, normal
 //!   hotspot, or externally supplied trace vectors);
@@ -69,7 +69,8 @@ pub mod invariants;
 pub mod viz;
 pub mod workload;
 
-pub use cluster::{EarliestFirst, GossipHealth, Scheduler, SimCluster};
+pub use autosel_core::GossipHealth;
+pub use cluster::{EarliestFirst, Scheduler, SimCluster};
 pub use config::SimConfig;
 pub use event::{EventKey, QueuedEvent};
 pub use faults::FaultPlan;
