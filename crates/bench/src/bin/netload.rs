@@ -12,13 +12,13 @@
 //! sustains thousands of in-flight queries.
 //!
 //! `--transport mem|tcp` selects the data plane: `mem` is the DAS-style
-//! in-process emulation (with injected latency), `tcp` runs the persistent
-//! per-destination links over real loopback sockets (injected latency off —
-//! the sockets provide their own). TCP runs publish the link counters
-//! (`net.tcp.conn_established`, `net.tcp.conn_failed`, `net.tcp.tx_batches`,
-//! `net.tcp.tx_frames`, `net.tcp.tx_queue_full_drops`,
-//! `net.tcp.tx_oversize_drops`) through the windowed registry and append
-//! them to the JSON row.
+//! in-process emulation (with injected latency), `tcp` runs the transport's
+//! one listener and one persistent link over real loopback sockets
+//! (injected latency off — the sockets provide their own). TCP runs
+//! publish the link counters (`net.tcp.conn_established`,
+//! `net.tcp.conn_failed`, `net.tcp.tx_batches`, `net.tcp.tx_frames`,
+//! `net.tcp.tx_queue_full_drops`, `net.tcp.tx_oversize_drops`) through the
+//! windowed registry and append them to the JSON row.
 //!
 //! `--sweep` replaces the single fixed-rate measure phase with a rate
 //! sweep: offered qps steps ×1.6 per stage (each `MEASURE_MS` long) until
@@ -55,7 +55,10 @@
 //! monotone (p50 ≤ p99 ≤ p999 ≤ max). Fixed-rate runs additionally gate
 //! completion ≥ 50%; sweep runs gate ≥ 2 stages and a positive knee; TCP
 //! runs gate the persistent-connection invariant (frames ≫ connects,
-//! batches ≤ frames).
+//! batches ≤ frames). Every run gates the process's OS thread count
+//! (`threads` in the row, read just before shutdown) at `nodes + 8`, so a
+//! return to per-node transport threads fails; the gate is skipped where
+//! `/proc` is absent.
 //!
 //! ```text
 //! AUTOSEL_NETLOAD_NODES=40 AUTOSEL_NETLOAD_RATE=10 \
@@ -80,6 +83,8 @@ const SCHEMA: &str = "autosel/bench-net/v1";
 /// Flight-recorder ring size: enough context around a fault without
 /// unbounded growth.
 const FLIGHT_CAPACITY: usize = 2_048;
+/// `--check` fails a run with more than `nodes +` this many OS threads.
+const MAX_EXTRA_THREADS: usize = 8;
 /// `--check` fails below this completed/issued ratio (fixed-rate runs).
 const MIN_COMPLETION: f64 = 0.5;
 /// Offered-rate multiplier between sweep stages.
@@ -499,12 +504,16 @@ fn main() {
         );
     }
 
+    // OS threads of this process (`/proc/self/task`), read while the
+    // cluster is still up; `None` where `/proc` is absent.
+    let threads = std::fs::read_dir("/proc/self/task").ok().map(|d| d.count());
     cluster.shutdown();
 
     // ---- merge with existing entries and write. Rows are keyed by
     // (tag, kind, transport): a tcp sweep never clobbers a mem load row.
     let esc_tag = tag.replace('\\', "\\\\").replace('"', "\\\"");
     let kind = if sweep_mode { "sweep" } else { "load" };
+    let threads_json = threads.map_or_else(|| "null".to_string(), |n| n.to_string());
     let tcp_fields = match &tcp_stats {
         None => String::new(),
         Some(s) => format!(
@@ -524,7 +533,7 @@ fn main() {
             })
             .collect();
         format!(
-            "{{\"tag\":\"{esc_tag}\",\"kind\":\"sweep\",\"transport\":\"{transport_name}\",\"nodes\":{nodes},\"base_qps\":{rate:.2},\"factor\":{SWEEP_FACTOR:.2},\"knee_qps\":{knee_qps:.2},\"stages\":[{}],\"stage_measure_ms\":{measure_ms},\"warmup_ms\":{warmup_ms},\"sigma\":{sigma},\"seed\":{seed},\"issued\":{},\"completed\":{},\"timeouts\":{},\"errors\":{},\"p50_ms\":{p50:.2},\"p99_ms\":{p99:.2},\"p999_ms\":{p999:.2},\"max_ms\":{},\"mean_delivery\":{mean_delivery:.4},\"inbox_dropped\":{inbox_dropped},\"window_span_ms\":{}{tcp_fields}}}",
+            "{{\"tag\":\"{esc_tag}\",\"kind\":\"sweep\",\"transport\":\"{transport_name}\",\"nodes\":{nodes},\"base_qps\":{rate:.2},\"factor\":{SWEEP_FACTOR:.2},\"knee_qps\":{knee_qps:.2},\"stages\":[{}],\"stage_measure_ms\":{measure_ms},\"warmup_ms\":{warmup_ms},\"sigma\":{sigma},\"seed\":{seed},\"issued\":{},\"completed\":{},\"timeouts\":{},\"errors\":{},\"p50_ms\":{p50:.2},\"p99_ms\":{p99:.2},\"p999_ms\":{p999:.2},\"max_ms\":{},\"mean_delivery\":{mean_delivery:.4},\"inbox_dropped\":{inbox_dropped},\"window_span_ms\":{},\"threads\":{threads_json}{tcp_fields}}}",
             stage_json.join(","),
             tally.issued,
             tally.completed,
@@ -535,7 +544,7 @@ fn main() {
         )
     } else {
         format!(
-            "{{\"tag\":\"{esc_tag}\",\"kind\":\"load\",\"transport\":\"{transport_name}\",\"nodes\":{nodes},\"offered_qps\":{rate:.2},\"achieved_qps\":{achieved_qps:.2},\"warmup_ms\":{warmup_ms},\"measure_ms\":{measure_ms},\"sigma\":{sigma},\"seed\":{seed},\"issued\":{},\"completed\":{},\"timeouts\":{},\"errors\":{},\"killed\":{},\"p50_ms\":{p50:.2},\"p99_ms\":{p99:.2},\"p999_ms\":{p999:.2},\"max_ms\":{},\"mean_delivery\":{mean_delivery:.4},\"inbox_dropped\":{inbox_dropped},\"gossip_links_random\":{},\"gossip_links_semantic\":{},\"window_span_ms\":{}{tcp_fields}}}",
+            "{{\"tag\":\"{esc_tag}\",\"kind\":\"load\",\"transport\":\"{transport_name}\",\"nodes\":{nodes},\"offered_qps\":{rate:.2},\"achieved_qps\":{achieved_qps:.2},\"warmup_ms\":{warmup_ms},\"measure_ms\":{measure_ms},\"sigma\":{sigma},\"seed\":{seed},\"issued\":{},\"completed\":{},\"timeouts\":{},\"errors\":{},\"killed\":{},\"p50_ms\":{p50:.2},\"p99_ms\":{p99:.2},\"p999_ms\":{p999:.2},\"max_ms\":{},\"mean_delivery\":{mean_delivery:.4},\"inbox_dropped\":{inbox_dropped},\"gossip_links_random\":{},\"gossip_links_semantic\":{},\"window_span_ms\":{},\"threads\":{threads_json}{tcp_fields}}}",
             tally.issued,
             tally.completed,
             tally.timeouts,
@@ -588,10 +597,23 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        // Transport threads are per transport, not per node: the peers
+        // plus a handful (main, the mem delay line or the tcp accept,
+        // reader and writer threads).
+        match threads {
+            Some(n) if n > nodes + MAX_EXTRA_THREADS => {
+                eprintln!(
+                    "--check FAILED: {n} threads for {nodes} nodes (limit nodes + {MAX_EXTRA_THREADS})"
+                );
+                std::process::exit(1);
+            }
+            Some(_) => {}
+            None => println!("--check: thread-count gate skipped (no /proc/self/task)"),
+        }
         if let Some(s) = &tcp_stats {
-            // The tentpole invariant: connections are persistent, so the
-            // run sends far more frames than it opens connections, and
-            // batching coalesces (never splits) frames.
+            // The persistent-connection invariant: the run sends far more
+            // frames than it opens connections, and batching coalesces
+            // (never splits) frames.
             let plane_ok = s.tx_frames > 0
                 && s.conn_established >= 1
                 && s.conn_established * 2 <= s.tx_frames

@@ -73,7 +73,7 @@ mod routing;
 mod selector;
 
 pub use messages::{DynamicConstraint, Match, Message, QueryId, QueryMsg, ReplyMsg};
-pub use node::{ChoicePoint, Output, ProtocolConfig, SelectionNode};
+pub use node::{Output, ProtocolConfig, SelectionNode};
 pub use peer::{GossipHealth, Peer, PeerMessage, PeerOutput};
 pub use profile::NodeProfile;
 pub use routing::{NeighborEntry, RoutingTable};

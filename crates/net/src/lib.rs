@@ -11,7 +11,11 @@
 //! * two transports: [`Transport::mem`] (in-process channels with optional
 //!   injected latency — the DAS emulation, where 20 processes per physical
 //!   host shared one cluster) and [`Transport::tcp`] (real sockets over
-//!   loopback with a length-prefixed binary codec — the PlanetLab role);
+//!   loopback with a length-prefixed binary codec — the PlanetLab role).
+//!   Both route through one id → inbox registry; a TCP transport has one
+//!   listener and one persistent outbound link for all its peers, with
+//!   frames carrying `from` and `to`, so it adds three threads however
+//!   many nodes it hosts;
 //! * [`NetCluster`] — spawn a population, issue queries, kill nodes
 //!   ungracefully, and watch gossip repair the overlay, exactly like
 //!   §6.6–6.7's deployments.
@@ -35,5 +39,5 @@ pub use autosel_core::GossipHealth;
 /// A message on the wire: the shared [`autosel_core::PeerMessage`].
 pub use autosel_core::PeerMessage as NetMessage;
 pub use cluster::{InboxStats, NetCluster, QueryOutcome, QueryTicket};
-pub use config::{NetConfig, TcpTuning};
+pub use config::NetConfig;
 pub use transport::{TcpStatsSnapshot, Transport};

@@ -9,8 +9,8 @@
 //! The wrappers live in `crates/obs` because the obs crate's own
 //! [`FlightRecorder`](autosel_obs::FlightRecorder) ring runs under them too
 //! (and obs sits below net in the dependency graph); this module is the
-//! name the runtime code uses. Every lock in `crates/net` — transport link
-//! state, the delay line, the peer registries — is declared through these
+//! name the runtime code uses. Every lock in `crates/net` — the TCP link
+//! queue, the delay line, the peer registry — is declared through these
 //! types with a `lock-class` annotation that the static `lock-order` pass
 //! in `crates/analyze` cross-checks. See docs/ANALYSIS.md ("Concurrency
 //! soundness") for the class table and the runtime checker's guarantees.

@@ -1,5 +1,5 @@
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,17 +11,32 @@ use epigossip::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::TcpTuning;
 use crate::peer::{InboxSender, PeerEvent};
 use crate::NetMessage;
 use crate::sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
 
-/// Frames whose length prefix (`from` + payload) reaches this many bytes
-/// are rejected. Enforced at *send* time — an oversize message is dropped
-/// and counted (`tx_oversize_drops`) instead of silently vanishing at the
-/// receiver while the sender believes it succeeded — and kept as a
+/// Frames whose length prefix (`from` + `to` + payload) reaches this many
+/// bytes are rejected. Enforced at *send* time — an oversize message is
+/// dropped and counted (`tx_oversize_drops`) instead of silently vanishing
+/// at the receiver while the sender believes it succeeded — and kept as a
 /// receiver-side guard against garbage from untrusted sockets.
 pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+
+/// Frame header after the length prefix: `from` and `to`, 8 bytes each.
+const ADDR_LEN: usize = 16;
+
+/// Outbound link queue bound, per registered peer: the link is shared by
+/// every destination, so its total bound is this many frames × peers.
+const LINK_FRAMES_PER_PEER: usize = 1_024;
+
+/// First reconnect delay after a failed connect; doubles per consecutive
+/// failure up to [`CONNECT_BACKOFF_CAP`].
+const CONNECT_BACKOFF: Duration = Duration::from_millis(10);
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(320);
+
+/// Registered peers' bounded inboxes by id: the one routing map both
+/// carriers send through and the TCP reader dispatches from.
+type Registry = Arc<TrackedRwLock<HashMap<NodeId, InboxSender>>>;
 
 /// A delayed in-memory delivery awaiting its due time.
 struct DelayedSend {
@@ -119,29 +134,30 @@ impl DelayLine {
     }
 }
 
-/// Aggregated (or per-link) counters of the persistent TCP data plane.
+/// Counters of the persistent TCP data plane.
 ///
-/// `conn_established` counts *connects*, not live sockets: a link that
-/// never loses its peer connects exactly once no matter how many frames it
-/// carries — the invariant `netload --check` gates on for TCP rows.
+/// `conn_established` counts *connects*, not live sockets: the transport's
+/// one link connects exactly once unless it loses its connection, however
+/// many frames it carries — the invariant `netload --check` gates on for
+/// TCP rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TcpStatsSnapshot {
-    /// Successful outbound connects (one per link unless reconnecting).
+    /// Successful outbound connects (one per transport unless reconnecting).
     pub conn_established: u64,
-    /// Failed outbound connects (dead or unreachable endpoints).
+    /// Failed outbound connects (the transport's listener unreachable).
     pub conn_failed: u64,
     /// Writer wakeups that flushed at least one frame — one coalesced
     /// `write_all` + flush each.
     pub tx_batches: u64,
     /// Frames flushed; `tx_frames / tx_batches` is the mean batch size.
     pub tx_frames: u64,
-    /// Frames dropped because a link's bounded outbound queue was full.
+    /// Frames dropped because the link's bounded outbound queue was full.
     pub tx_queue_full_drops: u64,
     /// Messages rejected at send time for exceeding the frame-size cap.
     pub tx_oversize_drops: u64,
 }
 
-/// Per-link counter cells (atomics; snapshot via [`LinkStats::snapshot`]).
+/// The link's counter cells (atomics; snapshot via [`LinkStats::snapshot`]).
 #[derive(Debug, Default)]
 struct LinkStats {
     conn_established: AtomicU64,
@@ -164,9 +180,12 @@ impl LinkStats {
     }
 }
 
-/// One queued outbound frame plus the sender's fail-fast feedback channel.
+
+/// One queued outbound frame, its destination, and the sender's fail-fast
+/// feedback channel.
 struct QueuedFrame {
     frame: Bytes,
+    to: NodeId,
     failures: InboxSender,
 }
 
@@ -176,18 +195,17 @@ struct LinkQueue {
     shutdown: bool,
 }
 
-/// A persistent link to one destination: a bounded outbound queue drained
+/// The transport's one persistent outbound link: a bounded queue drained
 /// by a single writer thread that coalesces every queued frame into one
 /// buffer and issues a single `write_all` + flush per wakeup.
 ///
-/// All local peers share the link (the frame header carries `from`), so a
-/// cluster of *n* nodes runs at most *n* writer threads — the
-/// kitsune_p2p-style per-connection actor replacing the old
-/// thread-per-message, connect-per-message send path.
+/// Every local peer sends through it to every destination (the frame
+/// header carries `from` and `to`), so a transport runs one writer thread
+/// however many peers it hosts.
 struct TcpLink {
-    to: NodeId,
     addr: SocketAddr,
-    tuning: TcpTuning,
+    /// Queue bound per registered peer (see [`LINK_FRAMES_PER_PEER`]).
+    frames_per_peer: usize,
     // lock-class: net.link.state
     state: TrackedMutex<LinkQueue>,
     // lock-class: net.link.state
@@ -196,11 +214,10 @@ struct TcpLink {
 }
 
 impl TcpLink {
-    fn new(to: NodeId, addr: SocketAddr, tuning: TcpTuning) -> Arc<Self> {
+    fn new(addr: SocketAddr, frames_per_peer: usize) -> Arc<Self> {
         Arc::new(TcpLink {
-            to,
             addr,
-            tuning,
+            frames_per_peer,
             state: TrackedMutex::new(
                 "net.link.state",
                 LinkQueue { queue: VecDeque::new(), shutdown: false },
@@ -212,32 +229,26 @@ impl TcpLink {
 
     /// Starts the link's writer thread (separate from construction so unit
     /// tests can drive the queue without a live socket).
-    fn spawn_writer(self: &Arc<Self>) {
+    fn spawn_writer(self: &Arc<Self>) -> std::io::Result<()> {
         let link = Arc::clone(self);
         std::thread::Builder::new()
-            .name(format!("autosel-net-writer-{}", self.to))
+            .name("autosel-net-writer".into())
             .spawn(move || link.run_writer())
-            .expect("spawn link writer thread");
+            .map(drop)
     }
 
-    /// Queues one frame. A full queue drops the frame (counted) — senders
-    /// are never blocked by a slow link, mirroring the bounded-inbox
-    /// discipline; the protocol absorbs the loss via timeouts. A link
-    /// already shut down (its peer deregistered or re-registered
-    /// elsewhere) reports fail-fast instead.
-    fn enqueue(&self, frame: Bytes, failures: &InboxSender) {
+    /// Queues one frame while `peers` are registered. A full queue drops
+    /// the frame (counted) — senders are never blocked by a slow link,
+    /// mirroring the bounded-inbox discipline; the protocol absorbs the
+    /// loss via timeouts.
+    fn enqueue(&self, frame: QueuedFrame, peers: usize) {
         let mut st = self.state.lock();
-        if st.shutdown {
-            drop(st);
-            let _ = failures.try_deliver(PeerEvent::Failed(self.to));
-            return;
-        }
-        if st.queue.len() >= self.tuning.link_queue_cap {
+        if st.queue.len() >= self.frames_per_peer * peers.max(1) {
             drop(st);
             self.stats.tx_queue_full_drops.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        st.queue.push_back(QueuedFrame { frame, failures: failures.clone() });
+        st.queue.push_back(frame);
         drop(st);
         self.wake.notify_one();
     }
@@ -270,15 +281,15 @@ impl TcpLink {
     ///
     /// Failure semantics preserve the fail-fast contract: a batch that
     /// cannot be flushed (connect refused, or a write error that survives
-    /// one immediate reconnect) delivers `PeerEvent::Failed(to)` to every
-    /// queued sender, exactly like the old connect-per-message path did
-    /// for a dead endpoint. A mid-batch connection loss retries the whole
-    /// batch on a fresh connection, so frames already received before the
-    /// break may arrive twice — the protocol's exactly-once accounting
-    /// (attempt-tagged replies) absorbs duplicates by design.
+    /// one immediate reconnect) delivers `PeerEvent::Failed(to)` to each
+    /// queued sender, naming that frame's destination. A mid-batch
+    /// connection loss retries the whole batch on a fresh connection, so
+    /// frames already received before the break may arrive twice — the
+    /// protocol's exactly-once accounting (attempt-tagged replies) absorbs
+    /// duplicates by design.
     fn run_writer(&self) {
         let mut stream: Option<TcpStream> = None;
-        let mut backoff = Duration::from_millis(self.tuning.connect_backoff_ms);
+        let mut backoff = CONNECT_BACKOFF;
         let mut buf: Vec<u8> = Vec::new();
         while let Some(batch) = self.collect_batch() {
             buf.clear();
@@ -294,7 +305,7 @@ impl TcpLink {
                             // only adds latency.
                             let _ = s.set_nodelay(true);
                             self.stats.conn_established.fetch_add(1, Ordering::Relaxed);
-                            backoff = Duration::from_millis(self.tuning.connect_backoff_ms);
+                            backoff = CONNECT_BACKOFF;
                             stream = Some(s);
                         }
                         Err(_) => {
@@ -317,54 +328,104 @@ impl TcpLink {
                 self.stats.tx_frames.fetch_add(batch.len() as u64, Ordering::Relaxed);
             } else {
                 for f in &batch {
-                    let _ = f.failures.try_deliver(PeerEvent::Failed(self.to));
+                    let _ = f.failures.try_deliver(PeerEvent::Failed(f.to));
                 }
                 // Capped backoff before the next connect attempt; frames
                 // queued meanwhile simply wait (or drop on a full queue).
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2)
-                    .min(Duration::from_millis(self.tuning.connect_backoff_cap_ms));
+                backoff = (backoff * 2).min(CONNECT_BACKOFF_CAP);
             }
         }
     }
 }
 
-/// One registered TCP listener: its address plus the flag that tells its
-/// accept thread to exit (see [`close_endpoint`]).
-struct TcpEndpoint {
+/// The TCP carrier: one loopback listener whose accept thread hands each
+/// connection to a reader thread, and one [`TcpLink`] to that listener.
+/// Dropping the last [`Transport`] clone drops the plane, which stops all
+/// three threads (see the `Drop` impl); they hold only the registry, the
+/// stop flag and the link, never the plane itself.
+struct TcpPlane {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    link: Arc<TcpLink>,
+    /// Messages rejected at send time for exceeding the frame cap.
+    oversize: AtomicU64,
 }
 
-/// Asks an endpoint's accept loop to exit: set the stop flag, then poke the
-/// listener with a throwaway connect so the blocking `accept` returns. The
-/// accept thread drops the listener on its way out, releasing the socket —
-/// without this, `deregister` would leak the thread and the port forever.
-fn close_endpoint(ep: &TcpEndpoint) {
-    ep.stop.store(true, Ordering::Relaxed);
-    let _ = TcpStream::connect(ep.addr);
+impl TcpPlane {
+    fn start(space: Space, registry: &Registry) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept_stop = Arc::clone(&stop);
+        let registry = Arc::clone(registry);
+        std::thread::Builder::new()
+            .name("autosel-net-accept".into())
+            .spawn(move || accept_loop(&listener, &accept_stop, &space, &registry))?;
+        // Built before the writer spawns, so a failed spawn still runs
+        // `Drop` and stops the accept thread.
+        let plane = TcpPlane {
+            addr,
+            stop,
+            link: TcpLink::new(addr, LINK_FRAMES_PER_PEER),
+            oversize: AtomicU64::new(0),
+        };
+        plane.link.spawn_writer()?;
+        Ok(plane)
+    }
+}
+
+impl Drop for TcpPlane {
+    /// Shuts the link (the writer flushes what is queued and exits; its
+    /// socket closes, so the reader sees EOF and exits) and stops the
+    /// accept loop: set the flag, then poke the listener with a throwaway
+    /// connect so the blocking `accept` returns.
+    fn drop(&mut self) {
+        self.link.shutdown();
+        self.stop.store(true, Ordering::Relaxed);
+        let _ = TcpStream::connect(self.addr);
+    }
+}
+
+fn accept_loop(listener: &TcpListener, stop: &AtomicBool, space: &Space, registry: &Registry) {
+    loop {
+        let Ok((stream, _)) = listener.accept() else { break };
+        if stop.load(Ordering::Relaxed) {
+            break; // the plane's shutdown poke
+        }
+        let space = space.clone();
+        let registry = Arc::clone(registry);
+        if std::thread::Builder::new()
+            .name("autosel-net-read".into())
+            .spawn(move || serve_conn(stream, &space, &registry))
+            .is_err()
+        {
+            break;
+        }
+    }
 }
 
 /// How peers exchange messages.
 ///
-/// Cloneable and shared by every peer thread; destinations that have left
-/// the registry (killed nodes) silently swallow messages, exactly like the
-/// simulator's drop-on-dead semantics.
+/// Cloneable and shared by every peer thread. Both carriers route through
+/// one id → inbox registry: a send to an id that is not registered (a
+/// killed node) fails fast, and a frame already in flight to it fails fast
+/// when the TCP reader finds it gone.
 #[derive(Clone)]
 pub struct Transport {
-    inner: Inner,
+    /// Bounded inbox senders of the registered peers.
+    // lock-class: net.registry
+    registry: Arc<TrackedRwLock<HashMap<NodeId, InboxSender>>>,
+    carrier: Carrier,
 }
 
-/// Transport internals, kept private so crate-internal channel types do not
-/// leak through the public `Transport` surface.
+/// How a send reaches a registered inbox; private so crate-internal
+/// channel types do not leak through the public `Transport` surface.
 #[derive(Clone)]
-enum Inner {
+enum Carrier {
     /// In-process channels, optionally with injected uniform latency —
     /// the DAS-emulation transport.
     Mem {
-        /// Bounded inbox senders per peer.
-        // lock-class: net.mem.registry
-        registry: Arc<TrackedRwLock<HashMap<NodeId, InboxSender>>>,
         /// Injected latency range (ms), if any.
         latency_ms: Option<(u64, u64)>,
         /// Shared delay thread serving latency injection.
@@ -374,37 +435,24 @@ enum Inner {
         rng: Arc<TrackedMutex<SmallRng>>,
     },
     /// Real TCP sockets with the [`wire`](crate::wire) codec — the
-    /// PlanetLab transport. Persistent per-destination links (one writer
-    /// thread, write batching) replace the old connection-per-message
-    /// path.
-    Tcp {
-        /// Listener endpoints per peer.
-        // lock-class: net.tcp.endpoints
-        endpoints: Arc<TrackedRwLock<HashMap<NodeId, TcpEndpoint>>>,
-        /// Persistent outbound links per destination.
-        // lock-class: net.tcp.links
-        links: Arc<TrackedRwLock<HashMap<NodeId, Arc<TcpLink>>>>,
-        /// Messages rejected at send time for exceeding the frame cap.
-        oversize: Arc<AtomicU64>,
-        /// Link tuning (queue bound, reconnect backoff).
-        tuning: TcpTuning,
-        /// Space used to decode inbound frames.
-        space: Space,
-    },
+    /// PlanetLab transport. `Err` keeps a failed bind for `register` to
+    /// report.
+    Tcp(Result<Arc<TcpPlane>, Arc<std::io::Error>>),
 }
 
 impl std::fmt::Debug for Transport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Inner::Mem { registry, latency_ms, .. } => f
+        let peers = self.registry.read().len();
+        match &self.carrier {
+            Carrier::Mem { latency_ms, .. } => f
                 .debug_struct("Transport::Mem")
-                .field("peers", &registry.read().len())
+                .field("peers", &peers)
                 .field("latency_ms", latency_ms)
                 .finish(),
-            Inner::Tcp { endpoints, links, .. } => f
+            Carrier::Tcp(plane) => f
                 .debug_struct("Transport::Tcp")
-                .field("peers", &endpoints.read().len())
-                .field("links", &links.read().len())
+                .field("peers", &peers)
+                .field("addr", &plane.as_ref().map(|p| p.addr))
                 .finish(),
         }
     }
@@ -414,8 +462,8 @@ impl Transport {
     /// Creates an empty in-memory transport.
     pub fn mem(latency_ms: Option<(u64, u64)>) -> Self {
         Transport {
-            inner: Inner::Mem {
-                registry: Arc::new(TrackedRwLock::new("net.mem.registry", HashMap::new())),
+            registry: new_registry(),
+            carrier: Carrier::Mem {
                 latency_ms,
                 delay: DelayLine::start(),
                 rng: Arc::new(TrackedMutex::new(
@@ -426,111 +474,32 @@ impl Transport {
         }
     }
 
-    /// Creates an empty TCP transport decoding against `space`, with
-    /// default [`TcpTuning`].
+    /// Creates an empty TCP transport decoding against `space`: one
+    /// loopback listener and one outbound link for all its peers. A bind
+    /// failure is reported by the first [`NetCluster::spawn`](crate::NetCluster::spawn).
     pub fn tcp(space: Space) -> Self {
-        Self::tcp_tuned(space, TcpTuning::default())
+        let registry = new_registry();
+        let plane = TcpPlane::start(space, &registry).map(Arc::new).map_err(Arc::new);
+        Transport { registry, carrier: Carrier::Tcp(plane) }
     }
 
-    /// Creates an empty TCP transport with explicit link tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tuning` is invalid.
-    pub fn tcp_tuned(space: Space, tuning: TcpTuning) -> Self {
-        tuning.validate();
-        Transport {
-            inner: Inner::Tcp {
-                endpoints: Arc::new(TrackedRwLock::new("net.tcp.endpoints", HashMap::new())),
-                links: Arc::new(TrackedRwLock::new("net.tcp.links", HashMap::new())),
-                oversize: Arc::new(AtomicU64::new(0)),
-                tuning,
-                space,
-            },
-        }
-    }
-
-    /// Registers a peer: for Mem, wires its event sender; for TCP, binds a
-    /// loopback listener and spawns the accept thread, which hands each
-    /// accepted connection to a named reader thread feeding the bounded
-    /// inbox. Re-registering an id closes the previous listener first.
+    /// Registers a peer's inbox, replacing any earlier inbox of the same id.
     ///
     /// # Errors
     ///
-    /// I/O errors from binding the TCP listener.
+    /// The TCP listener's bind error, if it failed.
     pub(crate) fn register(&self, id: NodeId, inbox: InboxSender) -> std::io::Result<()> {
-        match &self.inner {
-            Inner::Mem { registry, .. } => {
-                registry.write().insert(id, inbox);
-                Ok(())
-            }
-            Inner::Tcp { endpoints, space, .. } => {
-                let listener = TcpListener::bind(("127.0.0.1", 0))?;
-                let addr = listener.local_addr()?;
-                let stop = Arc::new(AtomicBool::new(false));
-                let endpoint = TcpEndpoint { addr, stop: Arc::clone(&stop) };
-                // Bind the insert's result *before* closing the old
-                // endpoint: `close_endpoint` blocks on a connect, and in
-                // `if let Some(old) = …insert(…)` the write-guard temporary
-                // would stay live across it for the whole block (pre-2024
-                // temporary-lifetime rules) — the exact
-                // blocking-under-guard pattern the lock-order pass flags.
-                let replaced = endpoints.write().insert(id, endpoint);
-                if let Some(old) = replaced {
-                    close_endpoint(&old);
-                }
-                let space = space.clone();
-                std::thread::Builder::new()
-                    .name(format!("autosel-net-accept-{id}"))
-                    .spawn(move || {
-                        loop {
-                            let Ok((stream, _)) = listener.accept() else { break };
-                            // A deregister wakes us with a throwaway
-                            // connect; drop it and exit, releasing the
-                            // listener socket.
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let inbox = inbox.clone();
-                            let space = space.clone();
-                            if std::thread::Builder::new()
-                                .name(format!("autosel-net-read-{id}"))
-                                .spawn(move || {
-                                    let _ = serve_conn(stream, space, inbox);
-                                })
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                    })?;
-                Ok(())
-            }
+        if let Carrier::Tcp(Err(e)) = &self.carrier {
+            return Err(std::io::Error::new(e.kind(), e.to_string()));
         }
+        self.registry.write().insert(id, inbox);
+        Ok(())
     }
 
-    /// Removes a peer from the registry; in-flight and future messages to it
-    /// are dropped. On TCP this also closes the peer's listener (so its
-    /// accept thread exits instead of leaking) and shuts down the outbound
-    /// link to it (so its writer thread exits).
+    /// Removes a peer from the registry; future sends to it fail fast and
+    /// frames in flight to it are failed back to their senders.
     pub fn deregister(&self, id: NodeId) {
-        match &self.inner {
-            Inner::Mem { registry, .. } => {
-                registry.write().remove(&id);
-            }
-            Inner::Tcp { endpoints, links, .. } => {
-                // As in `register`: end each write-guard temporary at the
-                // statement before touching sockets or other locks.
-                let removed = endpoints.write().remove(&id);
-                if let Some(ep) = removed {
-                    close_endpoint(&ep);
-                }
-                let link = links.write().remove(&id);
-                if let Some(link) = link {
-                    link.shutdown();
-                }
-            }
-        }
+        self.registry.write().remove(&id);
     }
 
     /// Sends `msg` from `from` to `to`. Unknown or dead destinations fail
@@ -539,12 +508,12 @@ impl Transport {
     /// the sender can skip the broken link instead of waiting for `T(q)`.
     ///
     /// TCP sends never connect or spawn per message: the frame is queued
-    /// on the destination's persistent [`TcpLink`] and flushed by its
+    /// on the transport's one persistent [`TcpLink`] and flushed by its
     /// writer thread in coalesced batches.
     pub(crate) fn send(&self, from: NodeId, to: NodeId, msg: NetMessage, failures: &InboxSender) {
-        match &self.inner {
-            Inner::Mem { registry, latency_ms, delay, rng } => {
-                let Some(tx) = registry.read().get(&to).cloned() else {
+        match &self.carrier {
+            Carrier::Mem { latency_ms, delay, rng } => {
+                let Some(tx) = self.registry.read().get(&to).cloned() else {
                     let _ = failures.try_deliver(PeerEvent::Failed(to));
                     return;
                 };
@@ -569,134 +538,95 @@ impl Transport {
                     }
                 }
             }
-            Inner::Tcp { endpoints, links, oversize, tuning, .. } => {
-                let Some(addr) = endpoints.read().get(&to).map(|ep| ep.addr) else {
-                    let _ = failures.try_deliver(PeerEvent::Failed(to));
-                    return;
+            Carrier::Tcp(plane) => {
+                let peers = {
+                    let registry = self.registry.read();
+                    if registry.contains_key(&to) { registry.len() } else { 0 }
                 };
-                let frame = frame(from, &msg);
-                // The length prefix covers `from` + payload = frame - 4.
+                let plane = match plane {
+                    Ok(plane) if peers > 0 => plane,
+                    _ => {
+                        let _ = failures.try_deliver(PeerEvent::Failed(to));
+                        return;
+                    }
+                };
+                let frame = frame(from, to, &msg);
+                // The length prefix covers `from` + `to` + payload.
                 if frame.len() - 4 >= MAX_FRAME_LEN {
-                    oversize.fetch_add(1, Ordering::Relaxed);
+                    plane.oversize.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-                let link = lookup_link(links, to, addr, tuning);
-                link.enqueue(frame, failures);
+                plane.link.enqueue(QueuedFrame { frame, to, failures: failures.clone() }, peers);
             }
         }
     }
 
     /// Ids currently registered.
     pub fn peers(&self) -> Vec<NodeId> {
-        match &self.inner {
-            Inner::Mem { registry, .. } => registry.read().keys().copied().collect(),
-            Inner::Tcp { endpoints, .. } => endpoints.read().keys().copied().collect(),
-        }
+        self.registry.read().keys().copied().collect()
     }
 
-    /// Counters of the persistent TCP data plane, aggregated across links;
-    /// `None` on the in-memory transport.
+    /// Counters of the persistent TCP data plane; `None` on the in-memory
+    /// transport.
     pub fn tcp_stats(&self) -> Option<TcpStatsSnapshot> {
-        match &self.inner {
-            Inner::Mem { .. } => None,
-            Inner::Tcp { links, oversize, .. } => {
-                let mut total = TcpStatsSnapshot {
-                    tx_oversize_drops: oversize.load(Ordering::Relaxed),
-                    ..TcpStatsSnapshot::default()
-                };
-                for link in links.read().values() {
-                    let s = link.stats.snapshot();
-                    total.conn_established += s.conn_established;
-                    total.conn_failed += s.conn_failed;
-                    total.tx_batches += s.tx_batches;
-                    total.tx_frames += s.tx_frames;
-                    total.tx_queue_full_drops += s.tx_queue_full_drops;
-                }
-                Some(total)
-            }
-        }
-    }
-
-    /// Per-destination link counters (ids with an established or attempted
-    /// link only), sorted by id; `None` on the in-memory transport.
-    /// `tx_oversize_drops` is accounted globally (see
-    /// [`tcp_stats`](Self::tcp_stats)) and reads zero here.
-    pub fn tcp_link_stats(&self) -> Option<Vec<(NodeId, TcpStatsSnapshot)>> {
-        match &self.inner {
-            Inner::Mem { .. } => None,
-            Inner::Tcp { links, .. } => {
-                let mut out: Vec<(NodeId, TcpStatsSnapshot)> = links
-                    .read()
-                    .iter()
-                    .map(|(&id, l)| (id, l.stats.snapshot()))
-                    .collect();
-                out.sort_unstable_by_key(|&(id, _)| id);
-                Some(out)
-            }
+        match &self.carrier {
+            Carrier::Mem { .. } => None,
+            Carrier::Tcp(plane) => Some(plane.as_ref().map_or_else(
+                |_| TcpStatsSnapshot::default(),
+                |p| TcpStatsSnapshot {
+                    tx_oversize_drops: p.oversize.load(Ordering::Relaxed),
+                    ..p.link.stats.snapshot()
+                },
+            )),
         }
     }
 }
 
-/// Fetches (or creates) the persistent link to `to`. A cached link whose
-/// address no longer matches the registry (the peer deregistered and came
-/// back on a new port) is shut down and replaced.
-fn lookup_link(
-    links: &Arc<TrackedRwLock<HashMap<NodeId, Arc<TcpLink>>>>,
-    to: NodeId,
-    addr: SocketAddr,
-    tuning: &TcpTuning,
-) -> Arc<TcpLink> {
-    if let Some(link) = links.read().get(&to) {
-        if link.addr == addr {
-            return Arc::clone(link);
-        }
-    }
-    // Replacing a stale link must be atomic under the write lock, so the
-    // nested `shutdown` below acquires net.link.state while net.tcp.links
-    // is held — the one sanctioned cross-class edge (links → state); the
-    // writer thread never takes links while holding state, so no cycle.
-    let mut w = links.write();
-    // Re-check under the write lock: another sender may have raced us here.
-    if let Some(link) = w.get(&to) {
-        if link.addr == addr {
-            return Arc::clone(link);
-        }
-        link.shutdown();
-    }
-    let link = TcpLink::new(to, addr, tuning.clone());
-    link.spawn_writer();
-    w.insert(to, Arc::clone(&link));
-    link
+fn new_registry() -> Registry {
+    Arc::new(TrackedRwLock::new("net.registry", HashMap::new()))
 }
 
-/// Frame layout: `[u32 len][u64 from][payload]`, len covers from+payload.
-fn frame(from: NodeId, msg: &NetMessage) -> Bytes {
+/// Frame layout: `[u32 len][u64 from][u64 to][payload]`, len covers
+/// from+to+payload.
+fn frame(from: NodeId, to: NodeId, msg: &NetMessage) -> Bytes {
     let payload = crate::wire::encode(msg);
-    let mut buf = BytesMut::with_capacity(12 + payload.len());
-    buf.put_u32_le((8 + payload.len()) as u32);
+    let mut buf = BytesMut::with_capacity(4 + ADDR_LEN + payload.len());
+    buf.put_u32_le((ADDR_LEN + payload.len()) as u32);
     buf.put_u64_le(from);
+    buf.put_u64_le(to);
     buf.extend_from_slice(&payload);
     buf.freeze()
 }
 
-fn serve_conn(mut stream: TcpStream, space: Space, inbox: InboxSender) -> std::io::Result<()> {
+/// Reads frames off one accepted connection until EOF or a malformed
+/// length, dispatching each by its `to` through the registry. A frame
+/// whose `to` is gone (deregistered, or its inbox disconnected) is failed
+/// back to `from`, if `from` is registered — the fail-fast contract for
+/// frames already in flight when their destination died.
+fn serve_conn(stream: TcpStream, space: &Space, registry: &Registry) {
+    let mut reader = BufReader::new(stream);
     loop {
         let mut len_buf = [0u8; 4];
-        match stream.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(_) => return Ok(()), // EOF between frames
+        if reader.read_exact(&mut len_buf).is_err() {
+            return; // EOF between frames
         }
         let len = u32::from_le_bytes(len_buf) as usize;
-        if !(8..MAX_FRAME_LEN).contains(&len) {
-            return Ok(()); // nonsense length: drop connection
+        if !(ADDR_LEN..MAX_FRAME_LEN).contains(&len) {
+            return; // nonsense length: drop connection
         }
         let mut body = vec![0u8; len];
-        stream.read_exact(&mut body)?;
+        if reader.read_exact(&mut body).is_err() {
+            return;
+        }
         let mut body = Bytes::from(body);
         let from = body.get_u64_le();
-        if let Ok(msg) = crate::wire::decode(&space, body) {
-            if inbox.try_deliver(PeerEvent::Deliver(from, msg)).is_err() {
-                return Ok(()); // peer gone
+        let to = body.get_u64_le();
+        let Ok(msg) = crate::wire::decode(space, body) else { continue };
+        let inbox = registry.read().get(&to).cloned();
+        if inbox.is_none_or(|tx| tx.try_deliver(PeerEvent::Deliver(from, msg)).is_err()) {
+            let sender = registry.read().get(&from).cloned();
+            if let Some(sender) = sender {
+                let _ = sender.try_deliver(PeerEvent::Failed(to));
             }
         }
     }
@@ -724,12 +654,12 @@ mod tests {
         }))
     }
 
-    /// A query message whose encoded *frame length prefix* (8 + payload)
+    /// A query message whose encoded *frame length prefix* (16 + payload)
     /// is as close under `target_len` as the 8-byte granularity of
     /// `visited_zero` entries allows.
     fn msg_with_frame_len_near(space: &Space, target_len: usize) -> NetMessage {
         let base = sample_msg(space);
-        let base_len = frame(1, &base).len() - 4;
+        let base_len = frame(1, 2, &base).len() - 4;
         let extra = (target_len - base_len) / 8;
         let NetMessage::Protocol(Message::Query(mut q)) = base else { unreachable!() };
         q.visited_zero = (0..extra as u64).collect();
@@ -875,33 +805,39 @@ mod tests {
         assert_eq!(msg, sample_msg(&space));
     }
 
-    /// The tentpole invariant: a stream of sends to one destination shares
-    /// one persistent connection — no connect (and no thread) per message.
+    /// Sends from several peers to several registered destinations all
+    /// share the transport's one persistent connection — no connect (and
+    /// no thread) per message or per destination.
     #[test]
     fn tcp_sends_share_one_persistent_connection() {
-        const N: usize = 50;
+        const N: usize = 60;
         let space = Space::uniform(2, 80, 3).unwrap();
         let t = Transport::tcp(space.clone());
-        let (tx, rx) = InboxSender::test_pair(256);
-        t.register(9, tx).unwrap();
+        let dests: [NodeId; 3] = [9, 10, 11];
+        let inboxes: Vec<_> = dests
+            .iter()
+            .map(|&id| {
+                let (tx, rx) = InboxSender::test_pair(256);
+                t.register(id, tx).unwrap();
+                rx
+            })
+            .collect();
         let (ftx, _frx) = InboxSender::test_pair(64);
-        for _ in 0..N {
-            t.send(4, 9, sample_msg(&space), &ftx);
+        for i in 0..N {
+            t.send(4 + i as NodeId % 2, dests[i % dests.len()], sample_msg(&space), &ftx);
         }
-        for _ in 0..N {
-            let (from, msg) = expect_delivery(&rx, Duration::from_secs(10));
-            assert_eq!(from, 4);
-            assert_eq!(msg, sample_msg(&space));
+        for (k, rx) in inboxes.iter().enumerate() {
+            for j in 0..N / dests.len() {
+                let (from, msg) = expect_delivery(rx, Duration::from_secs(10));
+                assert_eq!(from, 4 + ((j * dests.len() + k) % 2) as NodeId);
+                assert_eq!(msg, sample_msg(&space));
+            }
         }
         let stats = t.tcp_stats().expect("tcp transport has stats");
         assert_eq!(stats.conn_established, 1, "one persistent connection: {stats:?}");
         assert_eq!(stats.tx_frames, N as u64);
         assert!(stats.tx_batches >= 1 && stats.tx_batches <= N as u64);
         assert_eq!(stats.tx_queue_full_drops, 0);
-        let per_link = t.tcp_link_stats().expect("tcp transport has link stats");
-        assert_eq!(per_link.len(), 1);
-        assert_eq!(per_link[0].0, 9);
-        assert_eq!(per_link[0].1.tx_frames, N as u64);
     }
 
     /// A writer wakeup drains the *whole* queue as one batch (the single
@@ -909,19 +845,22 @@ mod tests {
     /// and counts overflow instead of blocking senders.
     #[test]
     fn link_batches_whole_queue_and_bounds_it() {
-        let tuning = TcpTuning { link_queue_cap: 8, ..TcpTuning::default() };
         // No writer spawned: the queue is driven by hand.
-        let link = TcpLink::new(5, "127.0.0.1:1".parse().unwrap(), tuning);
+        let link = TcpLink::new("127.0.0.1:1".parse().unwrap(), 8);
         let (ftx, _frx) = InboxSender::test_pair(4);
-        let payload = Bytes::from_static(b"frame");
+        let queued = || QueuedFrame {
+            frame: Bytes::from_static(b"frame"),
+            to: 5,
+            failures: ftx.clone(),
+        };
         for _ in 0..5 {
-            link.enqueue(payload.clone(), &ftx);
+            link.enqueue(queued(), 1);
         }
         let batch = link.collect_batch().expect("queued frames");
         assert_eq!(batch.len(), 5, "one wakeup collects the whole queue");
-        // Overflow: capacity 8, push 11 → 3 counted drops.
+        // Overflow: capacity 8 with one peer, push 11 → 3 counted drops.
         for _ in 0..11 {
-            link.enqueue(payload.clone(), &ftx);
+            link.enqueue(queued(), 1);
         }
         assert_eq!(link.stats.tx_queue_full_drops.load(Ordering::Relaxed), 3);
         assert_eq!(link.collect_batch().expect("queued frames").len(), 8);
@@ -931,7 +870,8 @@ mod tests {
     }
 
     /// Dead endpoint: the writer fails the whole batch fast (every queued
-    /// sender gets `Failed`) and counts the refused connect.
+    /// sender gets `Failed` naming its own frame's destination) and counts
+    /// the refused connect.
     #[test]
     fn link_writer_fails_fast_on_dead_endpoint() {
         // Bind-then-drop: a loopback port with nothing listening.
@@ -939,13 +879,19 @@ mod tests {
             let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
             l.local_addr().unwrap()
         };
-        let link = TcpLink::new(6, addr, TcpTuning::default());
-        link.spawn_writer();
+        let link = TcpLink::new(addr, LINK_FRAMES_PER_PEER);
         let (ftx, frx) = InboxSender::test_pair(8);
-        link.enqueue(Bytes::from_static(b"doomed"), &ftx);
-        match frx.recv_timeout(Duration::from_secs(10)).expect("fail-fast feedback") {
-            PeerEvent::Failed(6) => {}
-            other => panic!("unexpected event: {other:?}"),
+        // Both frames are queued before the writer starts: one batch.
+        for to in [6, 7] {
+            let frame = Bytes::from_static(b"doomed");
+            link.enqueue(QueuedFrame { frame, to, failures: ftx.clone() }, 2);
+        }
+        link.spawn_writer().unwrap();
+        for expected in [6, 7] {
+            match frx.recv_timeout(Duration::from_secs(10)).expect("fail-fast feedback") {
+                PeerEvent::Failed(to) => assert_eq!(to, expected),
+                other => panic!("unexpected event: {other:?}"),
+            }
         }
         assert!(link.stats.conn_failed.load(Ordering::Relaxed) >= 1);
         assert_eq!(link.stats.tx_frames.load(Ordering::Relaxed), 0);
@@ -964,10 +910,8 @@ mod tests {
         }
     }
 
-    /// Regression (deregister leak): deregistering a TCP peer must close
-    /// its listener (so the accept thread exits and the port is released),
-    /// and the same id must be re-registrable — with sends routed to the
-    /// *new* endpoint even though a link to the old one was cached.
+    /// A deregistered TCP peer is unreachable, and the same id is
+    /// re-registrable — with sends routed to the *new* inbox only.
     #[test]
     fn tcp_register_deregister_register_same_id() {
         let space = Space::uniform(2, 80, 3).unwrap();
@@ -978,21 +922,14 @@ mod tests {
         t.send(4, 9, sample_msg(&space), &ftx);
         let (from, _) = expect_delivery(&rx1, Duration::from_secs(5));
         assert_eq!(from, 4);
-        let old_addr = match &t.inner {
-            Inner::Tcp { endpoints, .. } => endpoints.read()[&9].addr,
-            Inner::Mem { .. } => unreachable!(),
-        };
 
         t.deregister(9);
         assert!(t.peers().is_empty());
-        // The listener must actually close: connects to the old endpoint
-        // start failing once the accept thread drops it (bounded poll).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if TcpStream::connect(old_addr).is_err() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "old listener still accepting");
+        let (dtx, drx) = InboxSender::test_pair(64);
+        t.send(4, 9, sample_msg(&space), &dtx);
+        match drx.try_recv().expect("fail-fast feedback delivered") {
+            PeerEvent::Failed(9) => {}
+            other => panic!("unexpected event: {other:?}"),
         }
 
         let (tx2, rx2) = InboxSender::test_pair(64);
@@ -1002,6 +939,32 @@ mod tests {
         assert_eq!(from, 4);
         assert_eq!(msg, sample_msg(&space));
         assert!(rx1.try_recv().is_err(), "old inbox must see nothing new");
+    }
+
+    /// Reader-side fail-fast: a frame arriving for an id that is no longer
+    /// registered (it died while the frame was in flight) is failed back
+    /// to its registered sender. Written as raw bytes straight to the
+    /// transport's listener, so the test also pins the frame layout
+    /// `[u32 len][u64 from][u64 to][payload]`.
+    #[test]
+    fn tcp_reader_fails_in_flight_frame_back_to_sender() {
+        let space = Space::uniform(2, 80, 3).unwrap();
+        let t = Transport::tcp(space.clone());
+        let (ftx, frx) = InboxSender::test_pair(8);
+        t.register(3, ftx).unwrap();
+        let Carrier::Tcp(Ok(plane)) = &t.carrier else { panic!("tcp plane bound") };
+        let payload = crate::wire::encode(&sample_msg(&space));
+        let mut raw = BytesMut::new();
+        raw.put_u32_le((16 + payload.len()) as u32);
+        raw.put_u64_le(3);
+        raw.put_u64_le(42);
+        raw.extend_from_slice(&payload);
+        let mut conn = TcpStream::connect(plane.addr).unwrap();
+        conn.write_all(&raw).unwrap();
+        match frx.recv_timeout(Duration::from_secs(10)).expect("fail-fast feedback") {
+            PeerEvent::Failed(42) => {}
+            other => panic!("unexpected event: {other:?}"),
+        }
     }
 
     /// The frame-size cap is enforced at send time, at the exact boundary:
@@ -1018,7 +981,7 @@ mod tests {
 
         // Largest legal: len within 8 bytes under the cap (entry granularity).
         let legal = msg_with_frame_len_near(&space, MAX_FRAME_LEN - 1);
-        let legal_len = frame(4, &legal).len() - 4;
+        let legal_len = frame(4, 9, &legal).len() - 4;
         assert!((MAX_FRAME_LEN - 8..MAX_FRAME_LEN).contains(&legal_len));
         t.send(4, 9, legal.clone(), &ftx);
         let (_, msg) = expect_delivery(&rx, Duration::from_secs(60));
@@ -1026,7 +989,7 @@ mod tests {
 
         // One entry more crosses the cap: dropped at send, counted.
         let oversize = msg_with_frame_len_near(&space, MAX_FRAME_LEN + 7);
-        assert!(frame(4, &oversize).len() - 4 >= MAX_FRAME_LEN);
+        assert!(frame(4, 9, &oversize).len() - 4 >= MAX_FRAME_LEN);
         t.send(4, 9, oversize, &ftx);
         assert_eq!(t.tcp_stats().unwrap().tx_oversize_drops, 1);
         // The link is still healthy: a small follow-up frame arrives, and

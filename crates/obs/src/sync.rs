@@ -1,7 +1,7 @@
 //! Tracked lock wrappers: a deadlock tripwire for the threaded runtime.
 //!
-//! The live runtime (`crates/net`) is genuinely concurrent — per-destination
-//! writer threads, a delay-line thread, accept/read threads, peer event
+//! The live runtime (`crates/net`) is genuinely concurrent — a TCP link
+//! writer thread, a delay-line thread, accept/read threads, peer event
 //! loops — and its locks are plain `std::sync` primitives. This module wraps
 //! them with *lock-class* tracking so that every debug/test run doubles as a
 //! deadlock audit:

@@ -23,37 +23,11 @@ use crate::invariants::{InvariantChecker, InvariantViolation};
 use crate::metrics::LoadHistogram;
 use crate::{Placement, QueryStats, SimConfig};
 
-/// A pluggable dispatch policy for [`SimCluster::run_to_quiescence_with`]:
-/// given the queued events (ascending `(at, seq)`), pick the handle to
-/// dispatch next, or `None` to stop. The default simulator order is
-/// [`EarliestFirst`]; the `autosel-analyze` explorer substitutes recorded
-/// or enumerated schedules.
-pub trait Scheduler {
-    /// Chooses the `seq` handle of the next event to dispatch. `queued` is
-    /// non-empty.
-    fn next(&mut self, queued: &[QueuedEvent]) -> Option<u64>;
-}
-
-/// The simulator's native policy: earliest firing time, FIFO on ties —
-/// exactly what the event heap's fixed tie-break does, so a run driven by
-/// this scheduler reproduces [`SimCluster::run_to_quiescence`] event for
-/// event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EarliestFirst;
-
-impl Scheduler for EarliestFirst {
-    fn next(&mut self, queued: &[QueuedEvent]) -> Option<u64> {
-        queued.first().map(|e| e.seq)
-    }
-}
-
 struct SimNode {
     peer: Peer,
     /// Messages (queries + replies + gossip) dispatched by this node —
     /// Fig. 9's load metric.
     sent: u64,
-    /// Protocol messages received.
-    received: u64,
     /// Firing time of the earliest `PollTimeouts` event queued for this
     /// node, or `u64::MAX` when none is. One covering poll per node is
     /// enough — it reschedules itself off `next_timeout()` — so deliveries
@@ -247,7 +221,7 @@ impl SimCluster {
             peer.schedule_first_gossip(self.now + offset);
             self.schedule(self.now + offset, EventKind::GossipTick { node: id });
         }
-        self.nodes.insert(id, SimNode { peer, sent: 0, received: 0, next_poll: u64::MAX });
+        self.nodes.insert(id, SimNode { peer, sent: 0, next_poll: u64::MAX });
         if let Err(at) = self.sorted_ids.binary_search(&id) {
             self.sorted_ids.insert(at, id);
             let d = self.space.dims();
@@ -489,7 +463,6 @@ impl SimCluster {
     pub fn reset_load(&mut self) {
         for n in self.nodes.values_mut() {
             n.sent = 0;
-            n.received = 0;
         }
     }
 
@@ -777,30 +750,6 @@ impl SimCluster {
         h.finish()
     }
 
-    /// Runs to quiescence with `scheduler` picking every dispatch (the
-    /// pluggable replacement for the heap's fixed `(at, seq)` tie-break).
-    /// Stops when the queue drains or the scheduler returns `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if gossip is enabled (see
-    /// [`run_to_quiescence`](Self::run_to_quiescence)), or if the
-    /// scheduler returns a handle that is not queued.
-    pub fn run_to_quiescence_with<S: Scheduler>(&mut self, scheduler: &mut S) {
-        assert!(
-            !self.config.gossip_enabled,
-            "gossip keeps the queue non-empty; use run_until"
-        );
-        loop {
-            let queued = self.queued_events();
-            if queued.is_empty() {
-                break;
-            }
-            let Some(seq) = scheduler.next(&queued) else { break };
-            assert!(self.dispatch_queued(seq), "scheduler returned unknown handle {seq}");
-        }
-    }
-
     /// Direct mutable access to one node's protocol state machine.
     ///
     /// Test-harness plumbing (mutation hooks, hand-crafted state setups) —
@@ -904,7 +853,6 @@ impl SimCluster {
                     self.record_receipt(to, m);
                 }
                 let node = self.nodes.get_mut(&to).expect("alive");
-                node.received += u64::from(protocol);
                 let outputs = node.peer.deliver(from, msg, self.now, &mut self.rng);
                 self.apply_outputs(to, outputs);
                 if protocol {
@@ -1116,7 +1064,11 @@ mod tests {
         let (mut a, qa) = explore_fixture();
         let (mut b, qb) = explore_fixture();
         a.run_to_quiescence();
-        b.run_to_quiescence_with(&mut EarliestFirst);
+        // Drive `b` the way the explorer does: dispatch the head of
+        // `queued_events()` (ascending `(at, seq)`) until the queue drains.
+        while let Some(e) = b.queued_events().first().copied() {
+            assert!(b.dispatch_queued(e.seq));
+        }
         assert_eq!(a.now(), b.now());
         assert_eq!(a.state_hash(), b.state_hash());
         assert_eq!(

@@ -25,8 +25,8 @@
 //!   and message totals: exactly the metrics the paper's figures plot;
 //! * an exploration surface for external model checkers
 //!   ([`SimCluster::queued_events`] exposing stable [`EventKey`]s,
-//!   per-event dispatch / drop / duplicate surgery, [`Scheduler`]-driven
-//!   runs, and a logical [`SimCluster::state_hash`]) — `autosel-analyze`
+//!   per-event dispatch / drop / duplicate surgery, and a logical
+//!   [`SimCluster::state_hash`]) — `autosel-analyze`
 //!   builds its DPOR interleaving explorer on it.
 //!
 //! Determinism: a cluster seeded with the same seed replays identically.
@@ -70,7 +70,7 @@ pub mod viz;
 pub mod workload;
 
 pub use autosel_core::GossipHealth;
-pub use cluster::{EarliestFirst, Scheduler, SimCluster};
+pub use cluster::SimCluster;
 pub use config::SimConfig;
 pub use event::{EventKey, QueuedEvent};
 pub use faults::FaultPlan;

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         injected_latency_ms: None, // real socket latency only
         ..NetConfig::default()
     };
-    println!("spawning 40 peers, each with its own TCP listener on loopback…");
+    println!("spawning 40 peers sharing one TCP listener and link on loopback…");
     let mut cluster = NetCluster::spawn(
         space.clone(),
         points,
