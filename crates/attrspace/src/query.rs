@@ -137,8 +137,9 @@ impl Query {
     }
 
     /// [`matches`](Self::matches) on raw values in dimension order, for
-    /// callers that store points column-wise (e.g. a simulator's dense
-    /// ground-truth scan).
+    /// callers that store points as flat value rows (e.g. a simulator's
+    /// ground-truth count, which checks the members of the cells a range
+    /// cuts through).
     ///
     /// # Panics
     ///

@@ -6,11 +6,14 @@
 //! 1. **Single-run wall clock + peak RSS** — one oracle-wired static
 //!    cluster of N ∈ `AUTOSEL_BENCH_N` (default
 //!    `1000,5000,10000,100000,1000000`), 40 σ=50 best-case queries run to
-//!    quiescence. Each tier runs in a **child process** (re-exec of this
-//!    binary with `--one-shot N SEED`) so that `VmHWM` from
-//!    `/proc/self/status` is that tier's own peak resident set, not the
-//!    high-water mark of whatever larger tier ran earlier in the same
-//!    process. Each point runs twice with the same seed and the per-query
+//!    quiescence. `query_ms` (the whole query loop) splits into
+//!    `issue_ms`, the `issue_query` calls with their ground-truth count,
+//!    and `route_ms`, the `run_to_quiescence` calls that route them. Rows
+//!    written before the split carry only `query_ms`. Each tier runs in a
+//!    **child process** (re-exec of this binary with `--one-shot N SEED`)
+//!    so that `VmHWM` from `/proc/self/status` is that tier's own peak
+//!    resident set, not the high-water mark of whatever larger tier ran
+//!    earlier in the same process. Each point runs twice with the same seed and the per-query
 //!    [`QueryStats`](overlay_sim::QueryStats) fingerprints must match, so
 //!    every benchmark run is also a determinism check.
 //! 2. **Sweep scaling** — a fig06-style (size × seed) grid executed by the
@@ -90,9 +93,18 @@ fn vm_hwm_mib() -> f64 {
         .unwrap_or(0.0)
 }
 
+/// One single-run point's wall-clock split, in milliseconds.
+#[derive(Clone, Copy)]
+struct Timings {
+    setup_ms: f64,
+    query_ms: f64,
+    issue_ms: f64,
+    route_ms: f64,
+}
+
 /// One timed single-run point: builds the cluster, runs the query batch,
-/// returns (setup_ms, query_ms, digest-of-fingerprints).
-fn single_run(n: usize, seed: u64) -> (f64, f64, u64) {
+/// returns its timings and the digest of its per-query fingerprints.
+fn single_run(n: usize, seed: u64) -> (Timings, u64) {
     let space = Space::uniform(5, 80, 3).expect("space");
     let placement = Placement::Uniform { lo: 0, hi: 80 };
 
@@ -104,23 +116,29 @@ fn single_run(n: usize, seed: u64) -> (f64, f64, u64) {
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x51EE_BE7C);
     let mut hasher = DefaultHasher::new();
+    let (mut issue_s, mut route_s) = (0.0, 0.0);
     let t1 = Instant::now();
     for _ in 0..QUERIES_PER_RUN {
         let q = best_case_query(&space, DEFAULT_F, &mut rng);
         let origin = sim.random_node();
+        let ti = Instant::now();
         let qid = sim.issue_query(origin, q, Some(DEFAULT_SIGMA));
+        let tr = Instant::now();
         sim.run_to_quiescence();
+        route_s += tr.elapsed().as_secs_f64();
+        issue_s += (tr - ti).as_secs_f64();
         sim.query_stats(qid).expect("stats").fingerprint().hash(&mut hasher);
         sim.forget_query(qid);
     }
     let query_ms = t1.elapsed().as_secs_f64() * 1e3;
-    (setup_ms, query_ms, hasher.finish())
+    let timings =
+        Timings { setup_ms, query_ms, issue_ms: issue_s * 1e3, route_ms: route_s * 1e3 };
+    (timings, hasher.finish())
 }
 
 /// A tier's measurements, whether gathered in a child or in-process.
 struct TierResult {
-    setup_ms: f64,
-    query_ms: f64,
+    timings: Timings,
     digest: u64,
     deterministic: bool,
     rss_mib: f64,
@@ -131,11 +149,10 @@ struct TierResult {
 /// program; as the parent's fallback the RSS is an over-estimate (the
 /// process high-water mark is monotone across tiers).
 fn measure_tier(n: usize, seed: u64) -> TierResult {
-    let (setup_a, query_a, digest_a) = single_run(n, seed);
-    let (_, _, digest_b) = single_run(n, seed);
+    let (timings, digest_a) = single_run(n, seed);
+    let (_, digest_b) = single_run(n, seed);
     TierResult {
-        setup_ms: setup_a,
-        query_ms: query_a,
+        timings,
         digest: digest_a,
         deterministic: digest_a == digest_b,
         rss_mib: vm_hwm_mib(),
@@ -146,9 +163,10 @@ fn measure_tier(n: usize, seed: u64) -> TierResult {
 /// machine-readable line on stdout, exit.
 fn one_shot_main(n: usize, seed: u64) -> ! {
     let r = measure_tier(n, seed);
+    let t = r.timings;
     println!(
-        "ONESHOT n={n} setup_ms={:.2} query_ms={:.2} digest={:016x} deterministic={} rss_mib={:.1}",
-        r.setup_ms, r.query_ms, r.digest, r.deterministic, r.rss_mib
+        "ONESHOT n={n} setup_ms={:.2} query_ms={:.2} issue_ms={:.2} route_ms={:.2} digest={:016x} deterministic={} rss_mib={:.1}",
+        t.setup_ms, t.query_ms, t.issue_ms, t.route_ms, r.digest, r.deterministic, r.rss_mib
     );
     std::process::exit(0);
 }
@@ -160,9 +178,14 @@ fn parse_one_shot(stdout: &str) -> Option<TierResult> {
         line.split_whitespace()
             .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
     };
+    let ms = |key: &str| field(key)?.parse().ok();
     Some(TierResult {
-        setup_ms: field("setup_ms")?.parse().ok()?,
-        query_ms: field("query_ms")?.parse().ok()?,
+        timings: Timings {
+            setup_ms: ms("setup_ms")?,
+            query_ms: ms("query_ms")?,
+            issue_ms: ms("issue_ms")?,
+            route_ms: ms("route_ms")?,
+        },
         digest: u64::from_str_radix(field("digest")?, 16).ok()?,
         deterministic: field("deterministic")? == "true",
         rss_mib: field("rss_mib")?.parse().ok()?,
@@ -196,7 +219,7 @@ fn sweep_jobs(sizes: &[usize], seeds: usize) -> Vec<impl FnOnce() -> u64 + Send 
     let mut jobs = Vec::new();
     for &n in sizes {
         for s in 0..seeds as u64 {
-            jobs.push(move || single_run(n, 0xF16_0600 ^ s ^ ((n as u64) << 20)).2);
+            jobs.push(move || single_run(n, 0xF16_0600 ^ s ^ ((n as u64) << 20)).1);
         }
     }
     jobs
@@ -278,15 +301,16 @@ fn main() {
         eprintln!("[sweepbench] single run, N={n}…");
         let r = run_tier(n, 42);
         determinism_ok &= r.deterministic;
-        let wall = r.setup_ms + r.query_ms;
+        let t = r.timings;
+        let wall = t.setup_ms + t.query_ms;
         println!(
-            "single N={n}: setup {:.1} ms, {QUERIES_PER_RUN} queries {:.1} ms, total {wall:.1} ms, rss {:.1} MiB, deterministic={}",
-            r.setup_ms, r.query_ms, r.rss_mib, r.deterministic
+            "single N={n}: setup {:.1} ms, {QUERIES_PER_RUN} queries {:.1} ms (issue {:.1}, route {:.1}), total {wall:.1} ms, rss {:.1} MiB, deterministic={}",
+            t.setup_ms, t.query_ms, t.issue_ms, t.route_ms, r.rss_mib, r.deterministic
         );
         measured.push((n, r.digest, r.rss_mib));
         entries.push(format!(
-            "{{\"tag\":\"{}\",\"kind\":\"single\",\"n\":{n},\"queries\":{QUERIES_PER_RUN},\"seed\":42,\"setup_ms\":{:.2},\"query_ms\":{:.2},\"wall_ms\":{wall:.2},\"digest\":\"{:016x}\",\"deterministic\":{},\"rss_mib\":{:.1}}}",
-            json_escape(&tag), r.setup_ms, r.query_ms, r.digest, r.deterministic, r.rss_mib
+            "{{\"tag\":\"{}\",\"kind\":\"single\",\"n\":{n},\"queries\":{QUERIES_PER_RUN},\"seed\":42,\"setup_ms\":{:.2},\"query_ms\":{:.2},\"issue_ms\":{:.2},\"route_ms\":{:.2},\"wall_ms\":{wall:.2},\"digest\":\"{:016x}\",\"deterministic\":{},\"rss_mib\":{:.1}}}",
+            json_escape(&tag), t.setup_ms, t.query_ms, t.issue_ms, t.route_ms, r.digest, r.deterministic, r.rss_mib
         ));
     }
 

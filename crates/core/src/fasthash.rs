@@ -12,6 +12,14 @@
 //!
 //! Not collision-resistant against adversarial keys; use only for internal
 //! identifiers, never for attacker-controlled input.
+//!
+//! Low bits: a table of `2^m` buckets picks a key's probe start from the
+//! hash's low `m` bits, and for a one-word key the final multiply makes
+//! those depend only on the key's own low `m` bits. Consecutive ids
+//! therefore spread perfectly, but keys that differ only above bit `m`
+//! all start probing at the same bucket. Pack composite keys densely
+//! (e.g. a cell coordinate in `max_level` bits per dimension, not in wide
+//! byte-aligned fields) so the varying bits sit low.
 
 // lint:allow-file(std-collections) — this module *wraps* the std maps to
 // build the deterministic FastMap/FastSet aliases everyone else must use.
@@ -187,10 +195,14 @@ mod tests {
 
     #[test]
     fn consecutive_ids_spread() {
-        // Fibonacci multiplier: consecutive small ids must not collide in
-        // the low bits a power-of-two table actually uses.
-        let low: FastSet<u64> = (0u64..1000).map(|i| hash_of(&i) >> 57).collect();
-        assert!(low.len() > 64, "top-7-bit buckets poorly spread: {}", low.len());
+        // A power-of-two table takes the probe start from the hash's low
+        // bits: 1024 consecutive ids must land in 1024 distinct buckets of
+        // a 1024-bucket table.
+        let low: FastSet<u64> = (0u64..1024).map(|i| hash_of(&i) & 0x3FF).collect();
+        assert_eq!(low.len(), 1024, "low-10-bit buckets collide");
+        // The caveat in the module docs: bits above the table's width do
+        // not move the probe start.
+        assert_eq!(hash_of(&(5u64 | 1 << 40)) & 0x3FF, hash_of(&5u64) & 0x3FF);
         let set: FastSet<u64> = (0u64..1000).map(|i| hash_of(&i)).collect();
         assert_eq!(set.len(), 1000, "collisions among consecutive ids");
     }

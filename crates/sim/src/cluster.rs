@@ -1,7 +1,7 @@
 use autosel_core::fasthash::FastMap;
 use std::sync::Arc;
 
-use attrspace::{Point, Query, RawValue, Space};
+use attrspace::{Point, Query, Space};
 use autosel_core::bootstrap::OracleWiring;
 use autosel_core::NeighborEntry;
 use autosel_core::{
@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 use autosel_core::fasthash::Fnv64;
 
 use crate::calendar::CalendarQueue;
+use crate::cellindex::CellIndex;
 use crate::event::{EventKey, EventKind, QueuedEvent, ScheduledEvent};
 use crate::nodestore::NodeStore;
 use crate::faults::{FaultPlan, NodeEventKind};
@@ -50,13 +51,12 @@ pub struct SimCluster {
     /// every join/leave so the hot paths (`random_node`, oracle wiring,
     /// churn) never re-collect and re-sort the key set.
     sorted_ids: Vec<NodeId>,
-    /// The nodes' attribute values, flattened `dims` per node and aligned
-    /// block-for-block with `sorted_ids`. Ground-truth scans (one per
-    /// issued query, over the whole population) walk this contiguous
-    /// column instead of the node map, whose buckets hold entire
-    /// `SimNode`s. Ids arrive mostly ascending (fresh joins), so the
-    /// sorted insert is an append in the common case.
-    point_values: Vec<RawValue>,
+    /// The nodes' attribute values and `C0` cells, rows aligned with
+    /// `sorted_ids`: every issued query's ground-truth count reads
+    /// per-cell member counts and checks raw values only in the cells the
+    /// query's range cuts through. Ids arrive mostly ascending (fresh
+    /// joins), so the sorted insert is an append in the common case.
+    cells: CellIndex,
     queue: CalendarQueue,
     now: u64,
     seq: u64,
@@ -94,11 +94,11 @@ impl SimCluster {
     pub fn new(space: Space, config: SimConfig, seed: u64) -> Self {
         config.gossip.validate();
         SimCluster {
+            cells: CellIndex::new(&space),
             space,
             config,
             nodes: NodeStore::default(),
             sorted_ids: Vec::new(),
-            point_values: Vec::new(),
             queue: CalendarQueue::new(),
             now: 0,
             seq: 0,
@@ -221,12 +221,11 @@ impl SimCluster {
             peer.schedule_first_gossip(self.now + offset);
             self.schedule(self.now + offset, EventKind::GossipTick { node: id });
         }
-        self.nodes.insert(id, SimNode { peer, sent: 0, next_poll: u64::MAX });
         if let Err(at) = self.sorted_ids.binary_search(&id) {
             self.sorted_ids.insert(at, id);
-            let d = self.space.dims();
-            self.point_values.splice(at * d..at * d, point.values().iter().copied());
+            self.cells.insert(at, point.values(), peer.selection().coord().indices());
         }
+        self.nodes.insert(id, SimNode { peer, sent: 0, next_poll: u64::MAX });
     }
 
     /// Drops `id` from the sorted alive-id index (companion of every
@@ -234,8 +233,7 @@ impl SimCluster {
     fn unindex(&mut self, id: NodeId) {
         if let Ok(at) = self.sorted_ids.binary_search(&id) {
             self.sorted_ids.remove(at);
-            let d = self.space.dims();
-            self.point_values.drain(at * d..(at + 1) * d);
+            self.cells.remove(at);
         }
     }
 
@@ -336,11 +334,7 @@ impl SimCluster {
         sigma: Option<u32>,
         start: impl FnOnce(&mut SelectionNode, Query, u64) -> (QueryId, Vec<Output>),
     ) -> QueryId {
-        let truth = self
-            .point_values
-            .chunks_exact(self.space.dims())
-            .filter(|v| query.matches_values(v))
-            .count() as u32;
+        let truth = self.cells.count(&self.space, &query);
         let now = self.now;
         let node = self.nodes.get_mut(&origin).expect("origin alive");
         let (qid, outputs) = node.peer.begin(|s| start(s, query.clone(), now));

@@ -57,6 +57,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod calendar;
+mod cellindex;
 mod cluster;
 mod config;
 mod event;
